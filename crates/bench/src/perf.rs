@@ -19,6 +19,7 @@
 //! }
 //! ```
 
+use gaps_core::instance::MultiInstance;
 use gaps_engine::{BatchInstance, Engine, EngineConfig, Objective};
 use gaps_workloads::{multi_interval, one_interval};
 use rand::rngs::StdRng;
@@ -150,6 +151,18 @@ pub fn decomposable_batch(count: usize) -> Vec<BatchInstance> {
         .collect()
 }
 
+/// The multi-interval instances of a batch, for solver-level
+/// measurements that bypass the engine.
+fn bare_multi(batch: Vec<BatchInstance>) -> Vec<MultiInstance> {
+    batch
+        .into_iter()
+        .filter_map(|b| match b {
+            BatchInstance::Multi(m) => Some(m),
+            BatchInstance::One(_) => None,
+        })
+        .collect()
+}
+
 fn median_wall(samples: usize, mut run: impl FnMut()) -> Duration {
     let mut timings: Vec<Duration> = (0..samples.max(1))
         .map(|_| {
@@ -250,13 +263,7 @@ pub fn engine_trajectory(instances: usize, samples: usize) -> PerfSuite {
     // (a) Decomposition: the production decomposed path vs a monolithic
     // search over the same clustered instances.
     use gaps_core::multi_exact::{self, MultiObjective};
-    let decomposable: Vec<_> = decomposable_batch((instances / 10).max(10))
-        .into_iter()
-        .filter_map(|b| match b {
-            BatchInstance::Multi(m) => Some(m),
-            BatchInstance::One(_) => None,
-        })
-        .collect();
+    let decomposable = bare_multi(decomposable_batch((instances / 10).max(10)));
     let dec = median_wall(samples, || {
         for inst in &decomposable {
             let (res, stats) = multi_exact::solve_multi_stats(inst, MultiObjective::Gaps);
@@ -280,42 +287,40 @@ pub fn engine_trajectory(instances: usize, samples: usize) -> PerfSuite {
     });
 
     // (b) Parallel branch-and-bound: the shared-incumbent subtree
-    // fan-out at 8 workers vs 1 on coupled cores decomposition cannot
-    // split. Optima and witness schedules must be bit-identical — a
-    // nondeterministic speedup would be worthless.
-    let coupled: Vec<_> = coupled_batch((instances / 10).max(10))
-        .into_iter()
-        .filter_map(|b| match b {
-            BatchInstance::Multi(m) => Some(m),
-            BatchInstance::One(_) => None,
-        })
-        .collect();
+    // fan-out at 8 workers vs the sequential solver that `--threads 1`
+    // and every instance under the parallel threshold run, on coupled
+    // cores decomposition cannot split. Optima and witness schedules
+    // must be bit-identical — a nondeterministic speedup would be
+    // worthless.
+    let coupled = bare_multi(coupled_batch((instances / 10).max(10)));
     let reference: Vec<_> = coupled
         .iter()
-        .map(|inst| gaps_engine::parallel::solve_multi_parallel(inst, MultiObjective::Gaps, 1).0)
+        .map(|inst| multi_exact::solve_multi_stats(inst, MultiObjective::Gaps).0)
         .collect();
-    let mut parallel_medians = Vec::new();
-    for threads in [1usize, 8] {
-        let median = median_wall(samples, || {
-            for (inst, expect) in coupled.iter().zip(&reference) {
-                let (res, _) = gaps_engine::parallel::solve_multi_parallel(
-                    inst,
-                    MultiObjective::Gaps,
-                    threads,
-                );
-                assert_eq!(
-                    &res, expect,
-                    "parallel optimum diverged at {threads} workers"
-                );
-            }
-        });
-        parallel_medians.push(median);
-        suite.results.push(PerfResult {
-            name: format!("multi_parallel/threads={threads}"),
-            median_ns: median.as_nanos(),
-            samples,
-        });
-    }
+    let sequential = median_wall(samples, || {
+        for inst in &coupled {
+            assert!(multi_exact::solve_multi_stats(inst, MultiObjective::Gaps)
+                .0
+                .is_some());
+        }
+    });
+    let parallel = median_wall(samples, || {
+        for (inst, expect) in coupled.iter().zip(&reference) {
+            let (res, _) =
+                gaps_engine::parallel::solve_multi_parallel(inst, MultiObjective::Gaps, 8);
+            assert_eq!(&res, expect, "parallel optimum diverged at 8 workers");
+        }
+    });
+    suite.results.push(PerfResult {
+        name: "multi_sequential/solve_multi_stats".to_string(),
+        median_ns: sequential.as_nanos(),
+        samples,
+    });
+    suite.results.push(PerfResult {
+        name: "multi_parallel/threads=8".to_string(),
+        median_ns: parallel.as_nanos(),
+        samples,
+    });
 
     let cold1 = cold_medians[0].1.as_secs_f64();
     for &(threads, median) in &cold_medians[1..] {
@@ -341,8 +346,11 @@ pub fn engine_trajectory(instances: usize, samples: usize) -> PerfSuite {
     ));
     suite.derived.push((
         "multi_exact_parallel_speedup".to_string(),
-        parallel_medians[0].as_secs_f64() / parallel_medians[1].as_secs_f64().max(f64::EPSILON),
+        sequential.as_secs_f64() / parallel.as_secs_f64().max(f64::EPSILON),
     ));
+    // The speedup is bounded by the CPUs the run had, so record them.
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
+    suite.derived.push(("nproc".to_string(), nproc as f64));
     suite
 }
 
@@ -371,6 +379,7 @@ mod tests {
         assert!(names.contains(&"multi_exact_speedup_over_brute_force"));
         assert!(names.contains(&"decomposition_speedup"));
         assert!(names.contains(&"multi_exact_parallel_speedup"));
+        assert!(names.contains(&"nproc"));
         let hit_rate = suite
             .derived
             .iter()
@@ -378,6 +387,26 @@ mod tests {
             .unwrap()
             .1;
         assert!(hit_rate > 0.99, "warm pass should hit: {hit_rate}");
+    }
+
+    #[test]
+    fn one_worker_memo_expands_each_coupled_state_once() {
+        use gaps_core::multi_exact::{self, MultiObjective};
+        use gaps_engine::parallel::solve_multi_parallel;
+        // One worker runs the plan inline, in task order, on one memo: it
+        // meets every root subtree the sequential root state scans, so it
+        // expands the same states except that root state itself (0 vs 0
+        // when the bounds close the instance).
+        for (i, inst) in bare_multi(coupled_batch(8)).iter().enumerate() {
+            let (seq, seq_stats) = multi_exact::solve_multi_stats(inst, MultiObjective::Gaps);
+            let (plan, plan_stats) = solve_multi_parallel(inst, MultiObjective::Gaps, 1);
+            assert_eq!(seq, plan, "instance {i}");
+            let (seq_nodes, plan_nodes) = (seq_stats.nodes_expanded, plan_stats.nodes_expanded);
+            assert!(
+                plan_nodes <= seq_nodes && plan_nodes + 1 >= seq_nodes,
+                "instance {i}: plan {plan_nodes} vs sequential {seq_nodes}"
+            );
+        }
     }
 
     #[test]

@@ -69,6 +69,13 @@
 //! optimum always reports it, and the winner is the first such root in
 //! canonical order — precisely the branch sequential reconstruction
 //! takes.
+//!
+//! Each worker threads one [`WorkerMemo`] through all the tasks it runs,
+//! so a *(last slot, placed-job mask)* state is expanded at most once per
+//! worker instead of once per root. Sharing is sound because a memo
+//! entry is the state's exact suffix minimum: the search inside a state
+//! prunes only against that state's own running best, never against the
+//! root, the task, or the shared incumbent.
 
 use crate::fasthash::FastMap;
 use crate::instance::MultiInstance;
@@ -462,11 +469,15 @@ impl Solver {
             return;
         }
         self.verifying = true;
+        // The re-derivation is an audit, not search effort: keep
+        // `nodes` equal to the release-build count.
+        let nodes = self.nodes;
         let fresh = self.suffix_compute(last, mask);
         debug_assert_eq!(
             cached, fresh,
             "multi_exact memo entry diverged from recomputation"
         );
+        self.nodes = nodes;
         self.verifying = false;
     }
 
@@ -624,9 +635,23 @@ pub enum SubtreeOutcome {
         value: Option<u64>,
         /// Canonical witness times, component-local job order.
         times: Vec<Time>,
-        /// Branch-and-bound states expanded by this task.
+        /// Branch-and-bound states this task expanded (misses in its
+        /// worker's memo).
         nodes: u64,
     },
+}
+
+/// One worker's branch-and-bound memo for one [`ParallelPlan`], made by
+/// [`ParallelPlan::worker_memo`] and passed to every
+/// [`ParallelPlan::run_task`] call that worker makes. It keeps the
+/// current component's suffix values across tasks and is cleared when a
+/// task from another component arrives. Tasks run in any order stay
+/// exact; a driver that hands each worker its tasks in plan order (as
+/// `gaps_engine` does) never has to rebuild a component's memo.
+pub struct WorkerMemo<'p> {
+    plan: &'p ParallelPlan,
+    /// The component the solver was built for, and its memoized search.
+    current: Option<(usize, Solver)>,
 }
 
 struct PlanComponent {
@@ -717,10 +742,26 @@ impl ParallelPlan {
         out
     }
 
+    /// An empty memo for one worker of this plan.
+    pub fn worker_memo(&self) -> WorkerMemo<'_> {
+        WorkerMemo {
+            plan: self,
+            current: None,
+        }
+    }
+
     /// Explore one subtree to its exact optimum (or skip it when even
-    /// the admissible floor cannot beat the shared incumbent). Safe to
-    /// call concurrently from any thread.
-    pub fn run_task(&self, task: &SubtreeTask) -> SubtreeOutcome {
+    /// the admissible floor cannot beat the shared incumbent), reusing
+    /// and extending the calling worker's `memo`. Safe to call
+    /// concurrently from any thread, each with its own memo.
+    ///
+    /// # Panics
+    /// If `memo` was made by another plan.
+    pub fn run_task(&self, task: &SubtreeTask, memo: &mut WorkerMemo<'_>) -> SubtreeOutcome {
+        assert!(
+            std::ptr::eq(memo.plan, self),
+            "a worker memo serves only the plan that made it"
+        );
         let comp = &self.components[task.component];
         let (s, job) = comp.roots[task.root];
         let nc = comp.inst.job_count();
@@ -732,14 +773,23 @@ impl ParallelPlan {
         if pair.saturating_add(floor) > comp.incumbent.load(Ordering::Relaxed) {
             return SubtreeOutcome::Skipped;
         }
-        let mut solver = Solver::new(&comp.inst, &comp.slots, self.cost);
+        if matches!(&memo.current, Some((c, _)) if *c != task.component) {
+            memo.current = None;
+        }
+        let (_, solver) = memo.current.get_or_insert_with(|| {
+            (
+                task.component,
+                Solver::new(&comp.inst, &comp.slots, self.cost),
+            )
+        });
+        let nodes_before = solver.nodes;
         let mask = 1u64 << job;
         let suffix = solver.suffix(Some(s), mask);
         if suffix == INF {
             return SubtreeOutcome::Solved {
                 value: None,
                 times: Vec::new(),
-                nodes: solver.nodes,
+                nodes: solver.nodes - nodes_before,
             };
         }
         let value = pair + suffix;
@@ -753,7 +803,7 @@ impl ParallelPlan {
         SubtreeOutcome::Solved {
             value: Some(value),
             times,
-            nodes: solver.nodes,
+            nodes: solver.nodes - nodes_before,
         }
     }
 
@@ -854,10 +904,15 @@ mod tests {
     }
 
     /// Sequential reference driver for [`ParallelPlan`]: run every task
-    /// inline, in order.
+    /// inline, in order, on one worker memo.
     fn run_plan(i: &MultiInstance, obj: MultiObjective) -> Option<(u64, MultiSchedule)> {
         let plan = ParallelPlan::new(i, obj)?;
-        let outcomes: Vec<_> = plan.tasks().iter().map(|t| plan.run_task(t)).collect();
+        let mut memo = plan.worker_memo();
+        let outcomes: Vec<_> = plan
+            .tasks()
+            .iter()
+            .map(|t| plan.run_task(t, &mut memo))
+            .collect();
         let (value, sched, _) = plan.finish(&outcomes);
         Some((value, sched))
     }
@@ -1041,20 +1096,28 @@ mod tests {
     fn subtree_outcomes_fold_regardless_of_execution_order() {
         // Run the tasks in reverse order (worst-case steal pattern);
         // outcomes are folded by position, so the result must not move.
+        // Both components search, so the one memo also has to switch
+        // from one component to the other.
         let i = inst(&[
             vec![0, 2, 5],
             vec![1, 3],
             vec![4, 6],
-            vec![20, 21],
-            vec![21, 22],
+            vec![20, 22, 25],
+            vec![21, 23],
+            vec![24, 26],
+            vec![26, 27],
         ]);
         let obj = MultiObjective::Spans;
         let plan = ParallelPlan::new(&i, obj).unwrap();
         let tasks = plan.tasks();
-        assert!(tasks.len() > 1, "expected a real frontier");
+        assert!(
+            tasks.iter().any(|t| t.component == 0) && tasks.iter().any(|t| t.component == 1),
+            "expected a real frontier in both components: {tasks:?}"
+        );
         let mut outcomes: Vec<Option<SubtreeOutcome>> = vec![None; tasks.len()];
+        let mut memo = plan.worker_memo();
         for (idx, task) in tasks.iter().enumerate().rev() {
-            outcomes[idx] = Some(plan.run_task(task));
+            outcomes[idx] = Some(plan.run_task(task, &mut memo));
         }
         let outcomes: Vec<_> = outcomes.into_iter().map(Option::unwrap).collect();
         let (value, sched, stats) = plan.finish(&outcomes);
@@ -1062,6 +1125,22 @@ mod tests {
         assert_eq!(value, seq_value);
         assert_eq!(sched.times(), seq_sched.times());
         assert_eq!(stats.subtree_tasks, tasks.len() as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "a worker memo serves only the plan that made it")]
+    fn a_worker_memo_is_bound_to_its_plan() {
+        // Reusing a memo across plans would serve one instance's suffix
+        // values to another instance's search.
+        let a = ParallelPlan::new(&inst(&[vec![0, 2], vec![1, 3]]), MultiObjective::Spans).unwrap();
+        let b = ParallelPlan::new(
+            &inst(&[vec![0, 2, 5], vec![1, 3], vec![4, 6]]),
+            MultiObjective::Spans,
+        )
+        .unwrap();
+        let mut memo = a.worker_memo();
+        assert!(!b.tasks().is_empty(), "expected a real frontier");
+        b.run_task(&b.tasks()[0], &mut memo);
     }
 
     #[test]

@@ -242,6 +242,18 @@ impl Engine {
         objective: Objective,
         shed: bool,
     ) -> RequestOutcome {
+        self.solve_routed(inst, objective, &self.config.router, shed)
+    }
+
+    /// [`Engine::solve_request`] under the given router configuration
+    /// (the batch path passes one with its intra-instance thread share).
+    fn solve_routed(
+        &self,
+        inst: &BatchInstance,
+        objective: Objective,
+        router: &RouterConfig,
+        shed: bool,
+    ) -> RequestOutcome {
         let request_start = Instant::now();
         let flavor = inst.kind_label();
         let jobs = inst.job_count();
@@ -252,18 +264,14 @@ impl Engine {
                 let (kind, body) = router::solve_observed(
                     &form.instance,
                     objective,
-                    &self.config.router.shed(),
+                    &router.shed(),
                     Some(&self.metrics),
                 );
                 (format!("{body} solver={}", kind.name()), Some(kind), false)
             }
             None => {
-                let (kind, body) = router::solve_observed(
-                    &form.instance,
-                    objective,
-                    &self.config.router,
-                    Some(&self.metrics),
-                );
+                let (kind, body) =
+                    router::solve_observed(&form.instance, objective, router, Some(&self.metrics));
                 let payload = format!("{body} solver={}", kind.name());
                 self.cache.insert(form.key, payload.clone());
                 (payload, Some(kind), false)
@@ -284,6 +292,13 @@ impl Engine {
     /// Solve a batch, returning one result line per instance — in input
     /// order, independent of thread count — plus the batch report.
     ///
+    /// The engine's threads are split between the two levels of
+    /// parallelism: `min(threads, instances)` instance workers, and
+    /// `threads / min(threads, instances)` (at least 1, at most the
+    /// router's `multi_exact_threads`) branch-and-bound workers inside
+    /// each instance. A stream of big instances therefore solves each one
+    /// sequentially, while a lone instance still fans out.
+    ///
     /// Line format:
     /// `<index> <one|multi> n=<jobs> <payload> solver=<tag>` where the
     /// payload is `gaps=2` (exact), `power<=9.50` (upper bound),
@@ -295,15 +310,21 @@ impl Engine {
     ) -> (Vec<String>, EngineReport) {
         let start = Instant::now();
         let search_before = self.metrics.search_totals();
+        let threads = self.config.threads.max(1);
+        let share = threads / threads.min(instances.len()).max(1);
+        let router = RouterConfig {
+            multi_exact_threads: share.min(self.config.router.multi_exact_threads),
+            ..self.config.router.clone()
+        };
         let refs: Vec<&BatchInstance> = instances.iter().collect();
-        let outcomes = pool::map_ordered(refs, self.config.threads, |index, inst| {
-            let outcome = self.solve_request(inst, objective, false);
+        let outcomes = pool::map_ordered(refs, threads, |index, inst| {
+            let outcome = self.solve_routed(inst, objective, &router, false);
             (format!("{index} {}", outcome.body), outcome)
         });
 
         let mut report = EngineReport {
             requests: outcomes.len(),
-            threads: self.config.threads.max(1),
+            threads,
             cache_entries: self.cache.len(),
             ..EngineReport::default()
         };
@@ -615,6 +636,42 @@ mod tests {
         let (_, warm) = engine.run_batch(std::slice::from_ref(&inst), Objective::Gaps);
         assert!(warm.search.is_empty(), "cache hit must not re-search");
         assert!(!engine.metrics().search_totals().is_empty());
+    }
+
+    #[test]
+    fn a_batch_of_big_instances_solves_each_one_sequentially() {
+        use gaps_core::multi_exact::{self, MultiObjective};
+        // Coupled 18-job cores, each above the parallel threshold (17).
+        // With an instance per worker the batch already uses both
+        // threads, so no instance may fan its search out as well.
+        let mut rng = StdRng::seed_from_u64(5);
+        let batch: Vec<BatchInstance> = (0..2)
+            .map(|_| BatchInstance::Multi(multi_interval::banded(&mut rng, 18, 3, 8, 2)))
+            .collect();
+        let sequential: u64 = batch
+            .iter()
+            .map(|inst| {
+                let BatchInstance::Multi(multi) =
+                    canonical::canonicalize(inst, Objective::Gaps).instance
+                else {
+                    unreachable!("canonical form keeps the flavor")
+                };
+                let (_, stats) = multi_exact::solve_multi_stats(&multi, MultiObjective::Gaps);
+                stats.nodes_expanded
+            })
+            .sum();
+        assert!(sequential > 0, "the bounds alone must not close both cores");
+        let engine = Engine::new(EngineConfig {
+            threads: 2,
+            ..EngineConfig::default()
+        });
+        let (lines, report) = engine.run_batch(&batch, Objective::Gaps);
+        assert!(
+            lines.iter().all(|l| l.contains("solver=multi_exact")),
+            "{lines:?}"
+        );
+        assert_eq!(report.search.subtree_tasks, 0, "{:?}", report.search);
+        assert_eq!(report.search.nodes_expanded, sequential);
     }
 
     #[test]

@@ -4,16 +4,18 @@
 //! decomposed components, each with a canonical root frontier and a
 //! shared atomic incumbent — because the analyzer pins thread creation
 //! to [`crate::pool`]. This module is the other half: it fans the
-//! subtree tasks out over [`crate::pool::map_ordered_counted`], folds
-//! the outcomes back in task order, and turns the per-worker execution
-//! counts into the *steal* statistic (`tasks run by any worker but the
-//! first`) that `STATS v3` reports.
+//! subtree tasks out over [`crate::pool::map_ordered_with`], giving each
+//! worker one [`gaps_core::multi_exact::WorkerMemo`] for all the tasks it
+//! runs plus a task counter, folds the outcomes back in task order, and
+//! turns the per-worker counts into the *steal* statistic (`tasks run by
+//! any worker but the first`) that `STATS v3` reports.
 //!
 //! Determinism: outcomes are reassembled by task index and
 //! `ParallelPlan::finish` picks per-component winners by canonical root
 //! order, so the returned value *and witness schedule* are bit-identical
 //! for every thread count — the differential suite re-proves this at
-//! `--threads 1/2/8` on every run.
+//! `--threads 1/2/8` on every run. Only the node counts depend on which
+//! worker ran which task.
 
 use gaps_core::instance::MultiInstance;
 use gaps_core::multi_exact::{MultiObjective, ParallelPlan, SearchStats};
@@ -23,7 +25,8 @@ use crate::pool;
 
 /// Solve a multi-interval instance exactly with `threads` intra-instance
 /// workers; `None` iff infeasible. With `threads <= 1` the plan still
-/// runs (inline, no pool spawn) so the statistics stay comparable.
+/// runs (inline on one memo, no pool spawn) so the statistics stay
+/// comparable.
 ///
 /// The returned [`SearchStats`] carries nodes expanded, the component
 /// size histogram, subtree task/steal counts, and incumbent updates.
@@ -38,11 +41,20 @@ pub fn solve_multi_parallel(
     let tasks = plan.tasks();
     let (outcomes, steals) = if threads <= 1 || tasks.len() <= 1 {
         // Nothing to fan out: run inline and spare the scope setup.
-        (tasks.iter().map(|t| plan.run_task(t)).collect(), 0)
+        let mut memo = plan.worker_memo();
+        let outcomes = tasks.iter().map(|t| plan.run_task(t, &mut memo)).collect();
+        (outcomes, 0)
     } else {
-        let (outcomes, executed) =
-            pool::map_ordered_counted(tasks, threads, |_, task| plan.run_task(&task));
-        (outcomes, executed.iter().skip(1).sum::<u64>())
+        let (outcomes, workers) = pool::map_ordered_with(
+            tasks,
+            threads,
+            || (plan.worker_memo(), 0u64),
+            |(memo, executed), _, task| {
+                *executed += 1;
+                plan.run_task(&task, memo)
+            },
+        );
+        (outcomes, workers.iter().skip(1).map(|(_, n)| n).sum())
     };
     let (value, sched, mut stats) = plan.finish(&outcomes);
     stats.subtree_steals = steals;

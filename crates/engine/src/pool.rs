@@ -58,9 +58,34 @@ where
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
+    map_ordered_with(items, threads, || (), |_, index, item| f(index, item)).0
+}
+
+/// [`map_ordered`] with per-worker state: each worker thread builds one
+/// state with `init`, threads it through every item it runs, and hands
+/// it back. Returns the results in input order plus the final states in
+/// worker spawn order (index 0 = first worker; none for empty input).
+/// Which worker runs which item is up to the scheduler, so the states
+/// may hold caches or counters, but a result must not depend on them.
+///
+/// # Panics
+/// Re-raises panics from worker threads after the scope joins.
+pub fn map_ordered_with<T, R, S, I, F>(
+    items: Vec<T>,
+    threads: usize,
+    init: I,
+    f: F,
+) -> (Vec<R>, Vec<S>)
+where
+    T: Send,
+    R: Send,
+    S: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, T) -> R + Sync,
+{
     let total = items.len();
     if total == 0 {
-        return Vec::new();
+        return (Vec::new(), Vec::new());
     }
     // More workers than items would just be idle OS threads (and an
     // absurd request, e.g. `--threads 500000`, would die in spawn).
@@ -68,21 +93,26 @@ where
     let (work_tx, work_rx) = channel::bounded::<(usize, T)>(threads * 2);
     let (result_tx, result_rx) = channel::unbounded::<(usize, R)>();
     let mut results: Vec<Option<R>> = (0..total).map(|_| None).collect();
-    crossbeam::scope(|s| {
-        for _ in 0..threads {
-            let work_rx = work_rx.clone();
-            let result_tx = result_tx.clone();
-            let f = &f;
-            s.spawn(move |_| {
-                for (index, item) in work_rx {
-                    // The collector only disappears early if a sibling
-                    // panicked; stop quietly and let the scope re-raise.
-                    if result_tx.send((index, f(index, item))).is_err() {
-                        break;
+    let states = crossbeam::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                let work_rx = work_rx.clone();
+                let result_tx = result_tx.clone();
+                let (init, f) = (&init, &f);
+                s.spawn(move |_| {
+                    let mut state = init();
+                    for (index, item) in work_rx {
+                        // The collector only disappears early if a
+                        // sibling panicked; stop quietly and let the
+                        // join re-raise.
+                        if result_tx.send((index, f(&mut state, index, item))).is_err() {
+                            break;
+                        }
                     }
-                }
-            });
-        }
+                    state
+                })
+            })
+            .collect();
         // Only workers hold live clones now; when the feeder below drops
         // `work_tx`, their intake iterators end.
         drop(work_rx);
@@ -95,70 +125,21 @@ where
             let (index, value) = result_rx.recv().expect("every item yields a result");
             results[index] = Some(value);
         }
-    })
-    .expect("worker threads join");
-    results
-        .into_iter()
-        .map(|r| r.expect("every index was filled"))
-        .collect()
-}
-
-/// [`map_ordered`] with per-worker task accounting: returns the results
-/// in input order plus how many items each of the `threads` workers
-/// actually executed (index 0 = first worker). The parallel
-/// branch-and-bound driver uses the counts to report *steals* — subtree
-/// tasks that ran on a worker other than the first — without perturbing
-/// the deterministic index reassembly.
-///
-/// # Panics
-/// Re-raises panics from worker threads after the scope joins.
-pub fn map_ordered_counted<T, R, F>(items: Vec<T>, threads: usize, f: F) -> (Vec<R>, Vec<u64>)
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let total = items.len();
-    if total == 0 {
-        return (Vec::new(), vec![0; threads.max(1)]);
-    }
-    let threads = threads.clamp(1, total);
-    let executed: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
-    let (work_tx, work_rx) = channel::bounded::<(usize, T)>(threads * 2);
-    let (result_tx, result_rx) = channel::unbounded::<(usize, R)>();
-    let mut results: Vec<Option<R>> = (0..total).map(|_| None).collect();
-    crossbeam::scope(|s| {
-        for counter in &executed {
-            let work_rx = work_rx.clone();
-            let result_tx = result_tx.clone();
-            let f = &f;
-            s.spawn(move |_| {
-                for (index, item) in work_rx {
-                    counter.fetch_add(1, SeqCst);
-                    if result_tx.send((index, f(index, item))).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(work_rx);
-        drop(result_tx);
-        for pair in items.into_iter().enumerate() {
-            work_tx.send(pair).expect("a worker is alive to receive");
-        }
-        drop(work_tx);
-        for _ in 0..total {
-            let (index, value) = result_rx.recv().expect("every item yields a result");
-            results[index] = Some(value);
-        }
+        workers
+            .into_iter()
+            .map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect::<Vec<S>>()
     })
     .expect("worker threads join");
     let results = results
         .into_iter()
         .map(|r| r.expect("every index was filled"))
         .collect();
-    let executed = executed.into_iter().map(AtomicU64::into_inner).collect();
-    (results, executed)
+    (results, states)
 }
 
 /// Spawn one named long-lived utility thread. Kept here so the
@@ -507,26 +488,37 @@ mod tests {
     }
 
     #[test]
-    fn counted_variant_matches_and_accounts_for_every_item() {
+    fn worker_states_match_and_account_for_every_item() {
         let items: Vec<u64> = (0..250).collect();
-        let (out, counts) = map_ordered_counted(items.clone(), 4, |_, x| x * 3);
+        let (out, counts) = map_ordered_with(
+            items.clone(),
+            4,
+            || 0u64,
+            |count, _, x| {
+                *count += 1;
+                x * 3
+            },
+        );
         assert_eq!(out, map_ordered(items, 4, |_, x| x * 3));
         assert_eq!(counts.len(), 4);
         assert_eq!(counts.iter().sum::<u64>(), 250);
     }
 
     #[test]
-    fn counted_variant_on_one_thread_reports_no_steals() {
-        let (out, counts) = map_ordered_counted(vec![1u64, 2, 3], 1, |_, x| x);
+    fn one_worker_state_sees_every_item_in_order() {
+        let (out, seen) = map_ordered_with(vec![1u64, 2, 3], 1, Vec::new, |seen, i, x| {
+            seen.push(i);
+            x
+        });
         assert_eq!(out, vec![1, 2, 3]);
-        assert_eq!(counts, vec![3]);
+        assert_eq!(seen, vec![vec![0, 1, 2]]);
     }
 
     #[test]
-    fn counted_variant_handles_empty_input() {
-        let (out, counts) = map_ordered_counted(Vec::<i32>::new(), 6, |_, x| x);
+    fn worker_states_on_empty_input_are_never_built() {
+        let (out, states) = map_ordered_with(Vec::<i32>::new(), 6, || 0u64, |_, _, x| x);
         assert!(out.is_empty());
-        assert_eq!(counts, vec![0; 6]);
+        assert!(states.is_empty());
     }
 
     #[test]
@@ -696,7 +688,8 @@ mod tests {
 
     #[test]
     fn elastic_pool_reports_full_only_at_the_cap() {
-        let pool = TaskPool::elastic(1, 2, 1, Duration::from_millis(200));
+        // A grown worker must not retire mid-test: `workers()` is asserted.
+        let pool = TaskPool::elastic(1, 2, 1, Duration::from_secs(60));
         let (gate_tx, gate_rx) = channel::bounded::<()>(8);
         let submit_blocked = |pool: &TaskPool| {
             let gate_rx = gate_rx.clone();
@@ -704,9 +697,10 @@ mod tests {
                 let _ = gate_rx.recv();
             })
         };
-        // Saturate: every admission either runs (on a core or grown
-        // worker) or queues; only once workers == cap and the queue is
-        // full may Full surface.
+        // Saturate without pausing. How many admissions precede the
+        // first Full depends on how soon the workers dequeue (the
+        // one-slot queue may still hold the first job when the second
+        // arrives), but Full itself may only surface at the cap.
         let mut admitted = 0;
         let mut saw_full = false;
         for _ in 0..50 {
@@ -720,9 +714,25 @@ mod tests {
             }
         }
         assert!(saw_full, "the bounded queue still backpressures");
-        // 2 workers (grown to cap) + 1 queued slot.
-        assert!(admitted >= 3, "admitted {admitted}");
         assert_eq!(pool.workers(), 2, "grew exactly to the cap");
+        // Settle: both gated workers hold a job and the one-slot queue
+        // holds a third. Only then is the refusal deterministic.
+        while admitted < 3 {
+            assert!(
+                wait_until(|| pool.active() == admitted.min(2) && pool.queued() == 0),
+                "admitted jobs picked up (active = {})",
+                pool.active()
+            );
+            submit_blocked(&pool).expect("room below 2 running + 1 queued");
+            admitted += 1;
+        }
+        assert!(
+            wait_until(|| pool.active() == 2 && pool.queued() == 1),
+            "two running, one queued"
+        );
+        assert_eq!(submit_blocked(&pool), Err(SubmitError::Full));
+        assert_eq!(pool.workers(), 2);
+        assert_eq!(pool.peak_workers(), 2);
         for _ in 0..admitted {
             gate_tx.send(()).expect("alive");
         }

@@ -136,7 +136,8 @@ pub struct RouterConfig {
     pub multi_exact_max_jobs: usize,
     /// Intra-instance workers for the parallel branch-and-bound. `0`
     /// means *inherit the engine's worker-thread count* (resolved by
-    /// `Engine::new`); `1` forces the sequential path.
+    /// `Engine::new`); `1` forces the sequential path. `Engine::run_batch`
+    /// caps it at the batch's per-instance share of the engine's threads.
     pub multi_exact_threads: usize,
     /// Smallest job count worth fanning a single instance's subtrees out
     /// over the pool; below it the sequential solve wins on overhead.
@@ -266,20 +267,10 @@ pub fn route(feat: &Features, objective: Objective, cfg: &RouterConfig) -> Solve
 /// randomness, clocks, or thread-dependence (the parallel
 /// branch-and-bound is bit-deterministic by construction) — which is
 /// what makes both the result cache and the deterministic batch output
-/// sound.
-pub fn solve(
-    inst: &BatchInstance,
-    objective: Objective,
-    cfg: &RouterConfig,
-) -> (SolverKind, String) {
-    solve_observed(inst, objective, cfg, None)
-}
-
-/// [`solve`] with search-effort observation: multi-exact solves report
-/// their [`gaps_core::multi_exact::SearchStats`] (nodes expanded,
-/// component histogram, subtree tasks/steals, incumbent updates) into
-/// the registry. The payload is unaffected — observation never alters
-/// routing or results.
+/// sound. With an `observer`, multi-exact solves report their
+/// [`gaps_core::multi_exact::SearchStats`] (nodes expanded, component
+/// histogram, subtree tasks/steals, incumbent updates) into it;
+/// observation never alters routing or results.
 pub fn solve_observed(
     inst: &BatchInstance,
     objective: Objective,
@@ -501,7 +492,7 @@ mod tests {
     fn forced_chain_agrees_with_the_dp() {
         let inst = one(&[(0, 0), (1, 1), (5, 5), (9, 9)], 1);
         let cfg = RouterConfig::default();
-        let (kind, payload) = solve(&inst, Objective::Gaps, &cfg);
+        let (kind, payload) = solve_observed(&inst, Objective::Gaps, &cfg, None);
         assert_eq!(kind, SolverKind::ForcedChain);
         let BatchInstance::One(raw) = &inst else {
             unreachable!()
@@ -509,7 +500,7 @@ mod tests {
         let expected = multiproc_dp::min_gap_value(raw).unwrap();
         assert_eq!(payload, format!("gaps={expected}"));
 
-        let (_, power_payload) = solve(&inst, Objective::Power { alpha: 3 }, &cfg);
+        let (_, power_payload) = solve_observed(&inst, Objective::Power { alpha: 3 }, &cfg, None);
         let expected = power_dp::min_power_value(raw, 3).unwrap();
         assert_eq!(power_payload, format!("power={expected}"));
     }
@@ -517,7 +508,7 @@ mod tests {
     #[test]
     fn forced_chain_detects_collisions() {
         let inst = one(&[(4, 4), (4, 4)], 1);
-        let (_, payload) = solve(&inst, Objective::Gaps, &RouterConfig::default());
+        let (_, payload) = solve_observed(&inst, Objective::Gaps, &RouterConfig::default(), None);
         assert_eq!(payload, "infeasible");
     }
 
@@ -525,12 +516,12 @@ mod tests {
     fn baptiste_and_multiproc_payloads_are_exact() {
         let cfg = RouterConfig::default();
         let single = one(&[(0, 2), (0, 2), (5, 7)], 1);
-        let (kind, payload) = solve(&single, Objective::Gaps, &cfg);
+        let (kind, payload) = solve_observed(&single, Objective::Gaps, &cfg, None);
         assert_eq!(kind, SolverKind::BaptisteDp);
         assert_eq!(payload, "gaps=1");
 
         let dual = one(&[(0, 1), (0, 1), (0, 1)], 2);
-        let (kind, payload) = solve(&dual, Objective::Spans, &cfg);
+        let (kind, payload) = solve_observed(&dual, Objective::Spans, &cfg, None);
         assert_eq!(kind, SolverKind::MultiprocDp);
         assert_eq!(payload, "spans=2");
     }
@@ -539,7 +530,7 @@ mod tests {
     fn multi_exact_and_fallbacks_cover_multi() {
         let cfg = RouterConfig::default();
         let small = multi(&[vec![0, 1], vec![0, 1]]);
-        let (kind, payload) = solve(&small, Objective::Gaps, &cfg);
+        let (kind, payload) = solve_observed(&small, Objective::Gaps, &cfg, None);
         assert_eq!(kind, SolverKind::MultiExact);
         assert_eq!(payload, "gaps=0");
 
@@ -549,17 +540,17 @@ mod tests {
             use_multi_exact: false,
             ..RouterConfig::default()
         };
-        let (kind, oracle_payload) = solve(&small, Objective::Gaps, &oracle);
+        let (kind, oracle_payload) = solve_observed(&small, Objective::Gaps, &oracle, None);
         assert_eq!(kind, SolverKind::BruteForce);
         assert_eq!(oracle_payload, "gaps=0");
 
         let big: Vec<Vec<i64>> = (0..80).map(|i| vec![2 * i, 2 * i + 1]).collect();
         let big = multi(&big);
-        let (kind, payload) = solve(&big, Objective::Power { alpha: 2 }, &cfg);
+        let (kind, payload) = solve_observed(&big, Objective::Power { alpha: 2 }, &cfg, None);
         assert_eq!(kind, SolverKind::Theorem3Approx);
         assert!(payload.starts_with("power<="), "payload = {payload}");
 
-        let (kind, payload) = solve(&big, Objective::Gaps, &cfg);
+        let (kind, payload) = solve_observed(&big, Objective::Gaps, &cfg, None);
         assert_eq!(kind, SolverKind::Lemma3Greedy);
         assert!(payload.starts_with("gaps<="), "payload = {payload}");
     }
@@ -569,11 +560,11 @@ mod tests {
         let cfg = RouterConfig::default();
         // Two jobs forced into one slot.
         let clash = multi(&[vec![3], vec![3]]);
-        let (_, payload) = solve(&clash, Objective::Gaps, &cfg);
+        let (_, payload) = solve_observed(&clash, Objective::Gaps, &cfg, None);
         assert_eq!(payload, "infeasible");
         // One-interval: three unit-window jobs on one processor, same slot.
         let overfull = one(&[(1, 1), (1, 1), (1, 1)], 1);
-        let (_, payload) = solve(&overfull, Objective::Spans, &cfg);
+        let (_, payload) = solve_observed(&overfull, Objective::Spans, &cfg, None);
         assert_eq!(payload, "infeasible");
     }
 

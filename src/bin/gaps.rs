@@ -155,8 +155,9 @@ usage:
                 [--exact-jobs N] [--multi-exact true|false]
                 [--fallback approx,greedy,bound]
                 [--replay-online timeout|sleep|never]
-                (--threads N also parallelises branch-and-bound inside
-                 each large multi-interval instance)
+                (--threads N workers solve instances side by side; a
+                 large multi-interval instance gets N / min(N, instances)
+                 of them for its own branch-and-bound)
   gaps approx   --input FILE --alpha F [--rounds N]
   gaps simulate --input FILE --alpha N [--policy clairvoyant|timeout|sleep|never]
   gaps generate --kind uniform|feasible|bursty|multi|consultant|online|arrivals
@@ -367,9 +368,9 @@ fn cmd_batch(args: &Args) -> Result<String, String> {
             use_multi_exact: args.parse_or("multi-exact", defaults.use_multi_exact)?,
             multi_exact_max_slots: defaults.multi_exact_max_slots,
             multi_exact_max_jobs: defaults.multi_exact_max_jobs,
-            // 0 = inherit `--threads`: `Engine::new` resolves it, so the
-            // same knob that fans the batch out also powers the
-            // intra-instance parallel branch-and-bound on big instances.
+            // 0 = inherit `--threads`: `Engine::new` resolves it, and
+            // `run_batch` splits that budget between instances and the
+            // parallel branch-and-bound inside each big one.
             multi_exact_threads: defaults.multi_exact_threads,
             multi_exact_parallel_min_jobs: defaults.multi_exact_parallel_min_jobs,
             approx_rounds: args.parse_or("rounds", defaults.approx_rounds)?,
