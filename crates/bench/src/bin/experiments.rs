@@ -6,9 +6,10 @@
 //!   experiments e4 e16       # run selected experiments
 //!   experiments --list       # show the catalog
 //!   experiments --json PATH  # run the engine perf suite and write the
-//!                            # per-benchmark median wall-clock JSON
-//!                            # (BENCH_engine.json by convention);
+//!                            # per-benchmark min/median/max wall-clock
+//!                            # JSON (BENCH_engine.json by convention);
 //!                            # optional: --instances N --samples N
+//!                            # (default 600 instances, 5 samples)
 
 use std::time::Instant;
 
@@ -27,13 +28,16 @@ fn main() {
             std::process::exit(2);
         });
         let instances = numeric_flag(&args, "--instances", 600);
-        let samples = numeric_flag(&args, "--samples", 3);
+        let samples = numeric_flag(&args, "--samples", 5);
         eprintln!(
             "measuring engine trajectory ({instances} instances, {samples} samples per point)…"
         );
         let suite = gaps_bench::perf::engine_trajectory(instances, samples);
         for r in &suite.results {
-            eprintln!("  {:<28} median {:>12} ns", r.name, r.median_ns);
+            eprintln!(
+                "  {:<36} min {:>12} / median {:>12} / max {:>12} ns",
+                r.name, r.min_ns, r.median_ns, r.max_ns
+            );
         }
         for (name, value) in &suite.derived {
             eprintln!("  {name:<36} {value:.3}");

@@ -1,10 +1,11 @@
 //! Machine-readable performance trajectory for the batch engine.
 //!
-//! `experiments --json PATH` runs [`engine_trajectory`] and writes the
-//! per-benchmark median wall-clock times as JSON (`BENCH_engine.json` by
-//! convention), seeding the perf-trajectory files that later PRs compare
-//! against. The same workload builder feeds the criterion bench
-//! (`benches/bench_engine.rs`), so the two views measure the same thing.
+//! `experiments --json PATH` runs [`engine_trajectory`] and writes each
+//! benchmark's minimum, median and maximum wall-clock time as JSON
+//! (`BENCH_engine.json` by convention), seeding the perf-trajectory files
+//! that later PRs compare against. The same workload builder feeds the
+//! criterion bench (`benches/bench_engine.rs`), so the two views measure
+//! the same thing.
 //!
 //! JSON is hand-rolled (the workspace is offline — no serde); the schema
 //! is deliberately flat:
@@ -13,7 +14,7 @@
 //! {
 //!   "suite": "engine",
 //!   "benchmarks": [
-//!     {"name": "batch_cold/threads=1", "median_ns": 123, "samples": 3}
+//!     {"name": "batch_cold/threads=1", "min_ns": 120, "median_ns": 123, "max_ns": 131, "samples": 5}
 //!   ],
 //!   "derived": {"speedup_threads4_over_threads1": 2.5, "warm_hit_rate": 1.0}
 //! }
@@ -24,17 +25,28 @@ use gaps_engine::{BatchInstance, Engine, EngineConfig, Objective};
 use gaps_workloads::{multi_interval, one_interval};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// One measured benchmark: a name and its median wall clock.
+/// One measured benchmark: a name and the spread of its wall clock.
 #[derive(Clone, Debug)]
 pub struct PerfResult {
     /// Benchmark id, e.g. `batch_cold/threads=4`.
     pub name: String,
+    /// Fastest sample, in nanoseconds.
+    pub min_ns: u128,
     /// Median wall-clock over the samples, in nanoseconds.
     pub median_ns: u128,
-    /// Number of timed samples behind the median.
+    /// Slowest sample, in nanoseconds.
+    pub max_ns: u128,
+    /// Number of timed samples behind the three figures.
     pub samples: usize,
+}
+
+impl PerfResult {
+    /// The median in seconds, for the derived ratios.
+    fn median_s(&self) -> f64 {
+        self.median_ns as f64 / 1e9
+    }
 }
 
 /// A named set of results plus derived scalar metrics.
@@ -57,9 +69,11 @@ impl PerfSuite {
         for (i, r) in self.results.iter().enumerate() {
             let comma = if i + 1 < self.results.len() { "," } else { "" };
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"median_ns\": {}, \"samples\": {}}}{comma}\n",
+                "    {{\"name\": \"{}\", \"min_ns\": {}, \"median_ns\": {}, \"max_ns\": {}, \"samples\": {}}}{comma}\n",
                 escape(&r.name),
+                r.min_ns,
                 r.median_ns,
+                r.max_ns,
                 r.samples
             ));
         }
@@ -130,8 +144,9 @@ pub fn multi_batch(count: usize) -> Vec<BatchInstance> {
 /// across bands, so the width-3 inter-band zones are (almost always)
 /// crossed and decomposition cannot split the search. At 18 jobs each
 /// instance clears the router's parallel threshold (17), making this the
-/// workload behind `multi_exact_parallel_speedup`: the whole win must
-/// come from the shared-incumbent subtree fan-out, not from peeling.
+/// workload behind `multi_exact_parallel_speedup` (the whole win must
+/// come from the shared-incumbent subtree fan-out, not from peeling) and
+/// `multi_exact_nodes_per_ms`.
 pub fn coupled_batch(count: usize) -> Vec<BatchInstance> {
     let mut rng = StdRng::seed_from_u64(0xC09E);
     (0..count)
@@ -141,9 +156,7 @@ pub fn coupled_batch(count: usize) -> Vec<BatchInstance> {
 
 /// Decomposable family: four 6-job clusters separated by uncrossed dead
 /// zones. The dead-zone decomposition peels each instance into (at
-/// least) four independent searches; `decomposition_speedup` compares
-/// the production decomposed path against a monolithic search over the
-/// same instances.
+/// least) four independent searches.
 pub fn decomposable_batch(count: usize) -> Vec<BatchInstance> {
     let mut rng = StdRng::seed_from_u64(0xDEC0);
     (0..count)
@@ -163,21 +176,29 @@ fn bare_multi(batch: Vec<BatchInstance>) -> Vec<MultiInstance> {
         .collect()
 }
 
-fn median_wall(samples: usize, mut run: impl FnMut()) -> Duration {
-    let mut timings: Vec<Duration> = (0..samples.max(1))
+/// Time `samples` runs (at least one) of the benchmark `name`.
+fn time_row(name: impl Into<String>, samples: usize, mut run: impl FnMut()) -> PerfResult {
+    let mut ns: Vec<u128> = (0..samples.max(1))
         .map(|_| {
             let start = Instant::now();
             run();
-            start.elapsed()
+            start.elapsed().as_nanos()
         })
         .collect();
-    timings.sort_unstable();
-    timings[timings.len() / 2]
+    ns.sort_unstable();
+    PerfResult {
+        name: name.into(),
+        min_ns: ns[0],
+        median_ns: ns[ns.len() / 2],
+        max_ns: ns[ns.len() - 1],
+        samples: ns.len(),
+    }
 }
 
 /// Measure engine batch throughput cold (fresh cache, threads 1/2/4) and
-/// warm (second pass over the same engine), and derive thread speedups
-/// plus the warm-cache hit rate.
+/// warm (second pass over the same engine), the multi-interval solvers,
+/// and derive thread speedups, the warm-cache hit rate and the exact
+/// search's node rate. Every row is timed `samples` times.
 pub fn engine_trajectory(instances: usize, samples: usize) -> PerfSuite {
     let batch = mixed_batch(instances);
     let mut suite = PerfSuite {
@@ -186,7 +207,7 @@ pub fn engine_trajectory(instances: usize, samples: usize) -> PerfSuite {
     };
     let mut cold_medians = Vec::new();
     for threads in [1usize, 2, 4] {
-        let median = median_wall(samples, || {
+        let row = time_row(format!("batch_cold/threads={threads}"), samples, || {
             let engine = Engine::new(EngineConfig {
                 threads,
                 ..EngineConfig::default()
@@ -194,12 +215,8 @@ pub fn engine_trajectory(instances: usize, samples: usize) -> PerfSuite {
             let (lines, _) = engine.run_batch(&batch, Objective::Gaps);
             assert_eq!(lines.len(), batch.len());
         });
-        cold_medians.push((threads, median));
-        suite.results.push(PerfResult {
-            name: format!("batch_cold/threads={threads}"),
-            median_ns: median.as_nanos(),
-            samples,
-        });
+        cold_medians.push((threads, row.median_s()));
+        suite.results.push(row);
     }
 
     // Warm pass: same engine, second time around — measures cache + pool
@@ -210,15 +227,12 @@ pub fn engine_trajectory(instances: usize, samples: usize) -> PerfSuite {
     });
     let (_, _) = engine.run_batch(&batch, Objective::Gaps);
     let mut warm_hit_rate = 0.0;
-    let warm = median_wall(samples, || {
+    let warm = time_row("batch_warm/threads=4", samples, || {
         let (_, report) = engine.run_batch(&batch, Objective::Gaps);
         warm_hit_rate = report.hit_rate();
     });
-    suite.results.push(PerfResult {
-        name: "batch_warm/threads=4".to_string(),
-        median_ns: warm.as_nanos(),
-        samples,
-    });
+    let warm_median = warm.median_s();
+    suite.results.push(warm);
 
     // Multi-interval exact path: the optimized solver vs the brute-force
     // reference on the same scaled batch (cold cache per sample, one
@@ -229,7 +243,7 @@ pub fn engine_trajectory(instances: usize, samples: usize) -> PerfSuite {
         ("multi_cold/multi_exact", true),
         ("multi_cold/brute_force", false),
     ] {
-        let median = median_wall(samples, || {
+        let row = time_row(name, samples, || {
             let engine = Engine::new(EngineConfig {
                 threads: 1,
                 router: gaps_engine::RouterConfig {
@@ -251,105 +265,90 @@ pub fn engine_trajectory(instances: usize, samples: usize) -> PerfSuite {
                 "whole batch must take the {expected} path"
             );
         });
-        exact_medians.push(median);
-        suite.results.push(PerfResult {
-            name: name.to_string(),
-            median_ns: median.as_nanos(),
-            samples,
-        });
+        exact_medians.push(row.median_s());
+        suite.results.push(row);
     }
 
     // PR-10 levers, measured solver-side (no engine cache in the way).
-    // (a) Decomposition: the production decomposed path vs a monolithic
-    // search over the same clustered instances.
+    // (a) Decomposition: the production decomposed path on clustered
+    // instances. (`solve_multi_undecomposed` stays the differential
+    // reference; production never runs it, so it is not timed here.)
     use gaps_core::multi_exact::{self, MultiObjective};
     let decomposable = bare_multi(decomposable_batch((instances / 10).max(10)));
-    let dec = median_wall(samples, || {
-        for inst in &decomposable {
-            let (res, stats) = multi_exact::solve_multi_stats(inst, MultiObjective::Gaps);
-            assert!(res.is_some() && stats.component_jobs.len() >= 4);
-        }
-    });
-    let undec = median_wall(samples, || {
-        for inst in &decomposable {
-            assert!(multi_exact::solve_multi_undecomposed(inst, MultiObjective::Gaps).is_some());
-        }
-    });
-    suite.results.push(PerfResult {
-        name: "multi_decomposed/clustered".to_string(),
-        median_ns: dec.as_nanos(),
-        samples,
-    });
-    suite.results.push(PerfResult {
-        name: "multi_undecomposed/clustered".to_string(),
-        median_ns: undec.as_nanos(),
-        samples,
-    });
+    suite
+        .results
+        .push(time_row("multi_decomposed/clustered", samples, || {
+            for inst in &decomposable {
+                let (res, stats) = multi_exact::solve_multi_stats(inst, MultiObjective::Gaps);
+                assert!(res.is_some() && stats.component_jobs.len() >= 4);
+            }
+        }));
 
     // (b) Parallel branch-and-bound: the shared-incumbent subtree
-    // fan-out at 8 workers vs the sequential solver that `--threads 1`
-    // and every instance under the parallel threshold run, on coupled
-    // cores decomposition cannot split. Optima and witness schedules
-    // must be bit-identical — a nondeterministic speedup would be
-    // worthless.
+    // fan-out at one worker per CPU vs the sequential solver that
+    // `--threads 1` and every instance under the parallel threshold run,
+    // on coupled cores decomposition cannot split. Optima and witness
+    // schedules must be bit-identical — a nondeterministic speedup would
+    // be worthless.
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
     let coupled = bare_multi(coupled_batch((instances / 10).max(10)));
+    let mut coupled_nodes = 0u64;
     let reference: Vec<_> = coupled
         .iter()
-        .map(|inst| multi_exact::solve_multi_stats(inst, MultiObjective::Gaps).0)
+        .map(|inst| {
+            let (res, stats) = multi_exact::solve_multi_stats(inst, MultiObjective::Gaps);
+            coupled_nodes += stats.nodes_expanded;
+            res
+        })
         .collect();
-    let sequential = median_wall(samples, || {
+    let sequential = time_row("multi_sequential/solve_multi_stats", samples, || {
         for inst in &coupled {
             assert!(multi_exact::solve_multi_stats(inst, MultiObjective::Gaps)
                 .0
                 .is_some());
         }
     });
-    let parallel = median_wall(samples, || {
+    let parallel = time_row(format!("multi_parallel/threads={nproc}"), samples, || {
         for (inst, expect) in coupled.iter().zip(&reference) {
             let (res, _) =
-                gaps_engine::parallel::solve_multi_parallel(inst, MultiObjective::Gaps, 8);
-            assert_eq!(&res, expect, "parallel optimum diverged at 8 workers");
+                gaps_engine::parallel::solve_multi_parallel(inst, MultiObjective::Gaps, nproc);
+            assert_eq!(&res, expect, "parallel optimum diverged at {nproc} workers");
         }
     });
-    suite.results.push(PerfResult {
-        name: "multi_sequential/solve_multi_stats".to_string(),
-        median_ns: sequential.as_nanos(),
-        samples,
-    });
-    suite.results.push(PerfResult {
-        name: "multi_parallel/threads=8".to_string(),
-        median_ns: parallel.as_nanos(),
-        samples,
-    });
+    let (sequential_median, parallel_median) = (sequential.median_s(), parallel.median_s());
+    suite.results.push(sequential);
+    suite.results.push(parallel);
 
-    let cold1 = cold_medians[0].1.as_secs_f64();
+    let cold1 = cold_medians[0].1;
     for &(threads, median) in &cold_medians[1..] {
         suite.derived.push((
             format!("speedup_threads{threads}_over_threads1"),
-            cold1 / median.as_secs_f64().max(f64::EPSILON),
+            cold1 / median.max(f64::EPSILON),
         ));
     }
     suite.derived.push((
         "warm_speedup_over_cold_threads4".to_string(),
-        cold_medians[2].1.as_secs_f64() / warm.as_secs_f64().max(f64::EPSILON),
+        cold_medians[2].1 / warm_median.max(f64::EPSILON),
     ));
     suite
         .derived
         .push(("warm_hit_rate".to_string(), warm_hit_rate));
     suite.derived.push((
         "multi_exact_speedup_over_brute_force".to_string(),
-        exact_medians[1].as_secs_f64() / exact_medians[0].as_secs_f64().max(f64::EPSILON),
-    ));
-    suite.derived.push((
-        "decomposition_speedup".to_string(),
-        undec.as_secs_f64() / dec.as_secs_f64().max(f64::EPSILON),
+        exact_medians[1] / exact_medians[0].max(f64::EPSILON),
     ));
     suite.derived.push((
         "multi_exact_parallel_speedup".to_string(),
-        sequential.as_secs_f64() / parallel.as_secs_f64().max(f64::EPSILON),
+        sequential_median / parallel_median.max(f64::EPSILON),
+    ));
+    // Search nodes per millisecond of the sequential coupled row: the
+    // per-node cost of the exact search, independent of how many nodes
+    // a change to the search itself would save.
+    suite.derived.push((
+        "multi_exact_nodes_per_ms".to_string(),
+        coupled_nodes as f64 / (sequential_median * 1e3).max(f64::EPSILON),
     ));
     // The speedup is bounded by the CPUs the run had, so record them.
-    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
     suite.derived.push(("nproc".to_string(), nproc as f64));
     suite
 }
@@ -369,16 +368,24 @@ mod tests {
 
     #[test]
     fn trajectory_produces_benchmarks_and_derived_metrics() {
-        let suite = engine_trajectory(20, 1);
+        let suite = engine_trajectory(20, 2);
         assert_eq!(suite.suite, "engine");
-        assert_eq!(suite.results.len(), 10);
-        assert!(suite.results.iter().all(|r| r.median_ns > 0));
+        assert_eq!(suite.results.len(), 9);
+        assert!(suite.results.iter().all(|r| r.samples == 2
+            && 0 < r.min_ns
+            && r.min_ns <= r.median_ns
+            && r.median_ns <= r.max_ns));
+        let nproc = std::thread::available_parallelism().map_or(1, usize::from);
+        let rows: Vec<&str> = suite.results.iter().map(|r| r.name.as_str()).collect();
+        assert!(rows.contains(&format!("multi_parallel/threads={nproc}").as_str()));
+        assert!(!rows.contains(&"multi_undecomposed/clustered"));
         let names: Vec<&str> = suite.derived.iter().map(|(n, _)| n.as_str()).collect();
         assert!(names.contains(&"warm_hit_rate"));
         assert!(names.contains(&"speedup_threads4_over_threads1"));
         assert!(names.contains(&"multi_exact_speedup_over_brute_force"));
-        assert!(names.contains(&"decomposition_speedup"));
         assert!(names.contains(&"multi_exact_parallel_speedup"));
+        assert!(names.contains(&"multi_exact_nodes_per_ms"));
+        assert!(!names.contains(&"decomposition_speedup"));
         assert!(names.contains(&"nproc"));
         let hit_rate = suite
             .derived
@@ -415,13 +422,15 @@ mod tests {
             suite: "engine".into(),
             results: vec![PerfResult {
                 name: "a/b=1".into(),
+                min_ns: 40,
                 median_ns: 42,
-                samples: 3,
+                max_ns: 45,
+                samples: 5,
             }],
             derived: vec![("quote\"test".into(), 1.5)],
         };
         let json = suite.to_json();
-        assert!(json.contains("\"median_ns\": 42"));
+        assert!(json.contains("\"min_ns\": 40, \"median_ns\": 42, \"max_ns\": 45"));
         assert!(json.contains("quote\\\"test"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(!json.contains(",\n  ]"), "no trailing commas:\n{json}");

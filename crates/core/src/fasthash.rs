@@ -3,9 +3,11 @@
 //! `std`'s default SipHash is DoS-resistant but costs ~2× the whole probe
 //! on the packed-`u64` keys the exact solvers use; the memo tables are
 //! process-internal (keys are never attacker-controlled), so a single
-//! round of splitmix64-style mixing is enough. The finisher keeps the
-//! high bits well distributed, which is what `HashMap`'s power-of-two
-//! bucket masking consumes.
+//! round of splitmix64-style mixing is enough. Every key is one integer
+//! word: the multi-exact memo keeps a table per slot so that its key is
+//! just the 64-bit placed-job mask. The finisher keeps the high bits well
+//! distributed, which is what `HashMap`'s power-of-two bucket masking
+//! consumes.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -50,14 +52,6 @@ impl Hasher for FastHasher {
     #[inline]
     fn write_u64(&mut self, v: u64) {
         self.mix(v);
-    }
-
-    #[inline]
-    fn write_u128(&mut self, v: u128) {
-        // Two-word keys (the multi-exact memo packs `(slot, 64-job mask)`
-        // into a `u128`) skip the byte-chunking fallback.
-        self.mix(v as u64);
-        self.mix((v >> 64) as u64);
     }
 
     #[inline]

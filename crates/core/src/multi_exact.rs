@@ -31,11 +31,18 @@
 //!   and distinct slots are guaranteed by construction — no occupancy
 //!   bitmask over slots.
 //! * **Memoization keyed by [`crate::fasthash`].** The suffix value
-//!   depends only on *(last occupied slot, set of placed jobs)*, packed
-//!   into one `u128` key (16-bit slot, 64-bit job mask). That flips
+//!   depends only on *(last occupied slot, set of placed jobs)*. The memo
+//!   keeps one table per slot, keyed by the 64-bit placed-job mask, so an
+//!   entry is 16 bytes and a probe hashes one word. That flips
 //!   `brute_force`'s `jobs × 2^slots` state space to `slots × 2^jobs` —
 //!   exponential in the (component-local, router-capped) job count
 //!   instead of the slot count.
+//! * **Constant-time bit work per node.** Job sets are `u64` masks: the
+//!   jobs allowed at a slot, and per slot the prefix union of jobs due by
+//!   it. A node's slot range ends at the first slot where an unplaced job
+//!   falls due (one AND per slot, no scan over the jobs), its children
+//!   are the set bits of `allowed & !placed` in ascending order, and the
+//!   twin rule below is one AND.
 //! * **Dominance pruning between interchangeable jobs.** Jobs with
 //!   identical allowed-interval sets are interchangeable; branching
 //!   places them in canonical index order, collapsing the `c!`
@@ -390,7 +397,7 @@ fn solve_component(
 
     let slots = inst.slot_union();
     let mut solver = Solver::new(inst, &slots, cost);
-    let best = solver.suffix(None, 0);
+    let best = solver.suffix(0, 0);
     assert_ne!(best, INF, "matching said feasible, search must agree");
     let times = solver.reconstruct(best);
     stats.nodes_expanded += solver.nodes;
@@ -403,17 +410,22 @@ fn solve_component(
 struct Solver {
     n: usize,
     cost: Cost,
+    /// One bit per job: the placed-job mask of a finished schedule.
+    full: u64,
     /// Sorted slot-union times (the critical times).
     times: Vec<Time>,
-    /// Jobs allowed at each slot, ascending job index.
-    jobs_at: Vec<Vec<u8>>,
-    /// Last allowed slot index of each job.
-    max_slot: Vec<u16>,
-    /// For each job, the previous job with the identical allowed set
-    /// (duplicate-class chain used by the dominance pruning).
-    twin_before: Vec<Option<u8>>,
-    /// Suffix-value memo: `(last slot + 1) << 64 | placed mask` → value.
-    memo: FastMap<u128, u64>,
+    /// Jobs allowed at each slot, one bit per job.
+    jobs_at: Vec<u64>,
+    /// Jobs whose last allowed slot is ≤ each slot (a prefix union), so
+    /// an unplaced job in `due_by[s]` must occupy a slot ≤ `s`.
+    due_by: Vec<u64>,
+    /// For each job, the bit of the previous job with the identical
+    /// allowed set, or 0 (the duplicate-class chain used by the dominance
+    /// pruning).
+    twin: Vec<u64>,
+    /// Suffix-value memo, one table per first free slot (`last + 1`,
+    /// 0 before any placement), keyed by the placed-job mask.
+    memo: Vec<FastMap<u64, u64>>,
     /// Branch-and-bound states expanded (memo misses).
     nodes: u64,
     /// Re-entrancy guard for the debug-build memo audit: while a hit is
@@ -426,33 +438,43 @@ struct Solver {
 impl Solver {
     fn new(inst: &MultiInstance, slots: &[Time], cost: Cost) -> Solver {
         let n = inst.job_count();
-        let mut jobs_at = vec![Vec::new(); slots.len()];
-        let mut max_slot = vec![0u16; n];
+        let mut jobs_at = vec![0u64; slots.len()];
+        let mut due_by = vec![0u64; slots.len()];
         for (j, job) in inst.jobs().iter().enumerate() {
+            let mut last = 0;
             for t in job.times() {
                 // analyzer: allow(panic-free): slot_union() is the sorted set of exactly these job times
                 let s = slots.binary_search(t).expect("slot in union");
-                jobs_at[s].push(j as u8);
-                max_slot[j] = max_slot[j].max(s as u16);
+                jobs_at[s] |= 1u64 << j;
+                last = last.max(s);
             }
+            due_by[last] |= 1u64 << j;
+        }
+        for s in 1..due_by.len() {
+            due_by[s] |= due_by[s - 1];
         }
         // Duplicate classes: jobs share a class iff their allowed sets
         // (hence interval structures) are identical.
-        let mut twin_before: Vec<Option<u8>> = vec![None; n];
-        for (j, twin) in twin_before.iter_mut().enumerate().skip(1) {
-            *twin = (0..j)
+        let mut twin = vec![0u64; n];
+        for (j, bit) in twin.iter_mut().enumerate().skip(1) {
+            *bit = (0..j)
                 .rev()
                 .find(|&i| inst.jobs()[i].times() == inst.jobs()[j].times())
-                .map(|i| i as u8);
+                .map_or(0, |i| 1u64 << i);
         }
         Solver {
             n,
             cost,
+            full: if n == MAX_JOBS {
+                u64::MAX
+            } else {
+                (1u64 << n) - 1
+            },
             times: slots.to_vec(),
             jobs_at,
-            max_slot,
-            twin_before,
-            memo: FastMap::with_capacity_and_hasher(1 << 10, Default::default()),
+            due_by,
+            twin,
+            memo: (0..=slots.len()).map(|_| FastMap::default()).collect(),
             nodes: 0,
             #[cfg(debug_assertions)]
             verifying: false,
@@ -464,7 +486,7 @@ impl Solver {
     /// exact recomputed one — a stale or clobbered entry would silently
     /// corrupt the optimum and every reconstruction step that follows it.
     #[cfg(debug_assertions)]
-    fn audit_memo_hit(&mut self, last: Option<u16>, mask: u64, cached: u64) {
+    fn audit_memo_hit(&mut self, next: usize, mask: u64, cached: u64) {
         if self.verifying {
             return;
         }
@@ -472,7 +494,7 @@ impl Solver {
         // The re-derivation is an audit, not search effort: keep
         // `nodes` equal to the release-build count.
         let nodes = self.nodes;
-        let fresh = self.suffix_compute(last, mask);
+        let fresh = self.suffix_compute(next, mask);
         debug_assert_eq!(
             cached, fresh,
             "multi_exact memo entry diverged from recomputation"
@@ -481,78 +503,80 @@ impl Solver {
         self.verifying = false;
     }
 
+    /// Pop the next branch from `open` (unplaced jobs of one slot), in
+    /// ascending job order. A job may be branched on only if its
+    /// smaller-index twin is already placed — interchangeable jobs go in
+    /// index order.
     #[inline]
-    fn full(&self) -> u64 {
-        if self.n == MAX_JOBS {
-            u64::MAX
-        } else {
-            (1u64 << self.n) - 1
+    fn next_branch(&self, open: &mut u64, mask: u64) -> Option<u32> {
+        while *open != 0 {
+            let job = open.trailing_zeros();
+            *open &= *open - 1;
+            let twin = self.twin[job as usize];
+            if mask & twin == twin {
+                return Some(job);
+            }
         }
+        None
     }
 
-    /// A job may be branched on only if every unplaced twin with a
-    /// smaller index is gone — interchangeable jobs go in index order.
+    /// The time of the last occupied slot when `next` is the first free
+    /// one (`None` before any placement).
     #[inline]
-    fn canonical(&self, job: u8, mask: u64) -> bool {
-        match self.twin_before[job as usize] {
-            None => true,
-            Some(prev) => mask & (1u64 << prev) != 0,
-        }
+    fn prev_time(&self, next: usize) -> Option<Time> {
+        next.checked_sub(1).map(|last| self.times[last])
     }
 
     /// Exact minimum cost of placing every job not in `mask` at slots
-    /// strictly after `last`, including the pair cost back to `last`.
+    /// `next` and later, including the pair cost back to slot `next − 1`.
     /// `INF` iff no completion exists.
-    fn suffix(&mut self, last: Option<u16>, mask: u64) -> u64 {
-        if mask == self.full() {
+    fn suffix(&mut self, next: usize, mask: u64) -> u64 {
+        if mask == self.full {
             return 0;
         }
-        let key = (last.map_or(0, |i| i as u128 + 1)) << 64 | mask as u128;
-        if let Some(&v) = self.memo.get(&key) {
+        if let Some(&v) = self.memo[next].get(&mask) {
             #[cfg(debug_assertions)]
-            self.audit_memo_hit(last, mask, v);
+            self.audit_memo_hit(next, mask, v);
             return v;
         }
-        let best = self.suffix_compute(last, mask);
-        self.memo.insert(key, best);
+        let best = self.suffix_compute(next, mask);
+        self.memo[next].insert(mask, best);
         best
     }
 
     /// The uncached body of [`Solver::suffix`]: branch over the next
     /// occupied slot and the canonical job placed there.
-    fn suffix_compute(&mut self, last: Option<u16>, mask: u64) -> u64 {
+    fn suffix_compute(&mut self, next: usize, mask: u64) -> u64 {
         self.nodes += 1;
-        let r = self.n - mask.count_ones() as usize;
-        // Every unplaced job lands at or after the *next* occupied slot,
-        // so that slot is bounded by the tightest remaining deadline —
-        // and must leave r − 1 free slots behind it.
-        let mut hi = (self.times.len() - r) as u16;
-        for j in 0..self.n {
-            if mask & (1u64 << j) == 0 {
-                hi = hi.min(self.max_slot[j]);
-            }
+        // Every unplaced job lands at or after the next occupied slot, so
+        // that slot is bounded by the tightest remaining deadline: a job
+        // already due before `next` leaves no completion at all.
+        if next > 0 && self.due_by[next - 1] & !mask != 0 {
+            return INF;
         }
-        let lo = last.map_or(0, |i| i + 1);
-        let prev_time = last.map(|i| self.times[i as usize]);
+        let r = self.n - mask.count_ones() as usize;
+        let prev_time = self.prev_time(next);
         let floor = self.cost.suffix_floor(r - 1);
         let mut best = INF;
-        for s in lo..=hi {
-            let pair = self.cost.pair(prev_time, self.times[s as usize]);
+        // The next occupied slot must leave r − 1 free slots behind it.
+        for s in next..=self.times.len() - r {
+            let pair = self.cost.pair(prev_time, self.times[s]);
             // Pair costs are non-decreasing in the slot (holes only grow),
             // so once even the admissible floor cannot beat the incumbent
             // the remaining branches are dominated — cut the whole loop.
             if best != INF && pair.saturating_add(floor) >= best {
                 break;
             }
-            for k in 0..self.jobs_at[s as usize].len() {
-                let job = self.jobs_at[s as usize][k];
-                if mask & (1u64 << job) != 0 || !self.canonical(job, mask) {
-                    continue;
-                }
-                let v = self.suffix(Some(s), mask | 1u64 << job);
+            let mut open = self.jobs_at[s] & !mask;
+            while let Some(job) = self.next_branch(&mut open, mask) {
+                let v = self.suffix(s + 1, mask | 1u64 << job);
                 if v != INF {
                     best = best.min(pair + v);
                 }
+            }
+            // An unplaced job due by `s` cannot wait for a later slot.
+            if self.due_by[s] & !mask != 0 {
+                break;
             }
         }
         best
@@ -561,48 +585,45 @@ impl Solver {
     /// Re-walk the memoized search along an optimal branch, returning the
     /// per-job times (original job order).
     fn reconstruct(&mut self, total: u64) -> Vec<Time> {
-        self.reconstruct_from(None, 0, vec![0; self.n], total)
+        self.reconstruct_from(0, 0, vec![0; self.n], total)
     }
 
-    /// [`Solver::reconstruct`] continued from a mid-search state: `last`
-    /// slot placed, `mask` of placed jobs, their `times` filled in, and
-    /// the remaining `target` cost. The walk always takes the *first*
-    /// `(slot, job)` branch in canonical scan order that attains the
-    /// target, which is what makes reconstruction deterministic — and
+    /// [`Solver::reconstruct`] continued from a mid-search state: `next`
+    /// the first free slot, `mask` the placed jobs, their `times` filled
+    /// in, and the remaining `target` cost. The walk always takes the
+    /// *first* `(slot, job)` branch in canonical scan order that attains
+    /// the target, which is what makes reconstruction deterministic — and
     /// identical between the sequential solver and a parallel subtree.
     fn reconstruct_from(
         &mut self,
-        mut last: Option<u16>,
+        mut next: usize,
         mut mask: u64,
         mut times: Vec<Time>,
         mut target: u64,
     ) -> Vec<Time> {
-        while mask != self.full() {
-            let prev_time = last.map(|i| self.times[i as usize]);
-            let lo = last.map_or(0, |i| i + 1);
-            let mut stepped = false;
-            'slots: for s in lo..self.times.len() as u16 {
-                let pair = self.cost.pair(prev_time, self.times[s as usize]);
+        while mask != self.full {
+            let prev_time = self.prev_time(next);
+            let mut step = None;
+            'slots: for s in next..self.times.len() {
+                let pair = self.cost.pair(prev_time, self.times[s]);
                 if pair > target {
                     break;
                 }
-                for k in 0..self.jobs_at[s as usize].len() {
-                    let job = self.jobs_at[s as usize][k];
-                    if mask & (1u64 << job) != 0 || !self.canonical(job, mask) {
-                        continue;
-                    }
-                    let v = self.suffix(Some(s), mask | 1u64 << job);
+                let mut open = self.jobs_at[s] & !mask;
+                while let Some(job) = self.next_branch(&mut open, mask) {
+                    let v = self.suffix(s + 1, mask | 1u64 << job);
                     if v != INF && pair + v == target {
-                        times[job as usize] = self.times[s as usize];
-                        mask |= 1u64 << job;
-                        last = Some(s);
-                        target -= pair;
-                        stepped = true;
+                        step = Some((s, job, pair));
                         break 'slots;
                     }
                 }
             }
-            assert!(stepped, "reconstruction must follow an optimal branch");
+            // analyzer: allow(panic-free): `target` is a memoized optimum, so some branch attains it
+            let (s, job, pair) = step.expect("reconstruction must follow an optimal branch");
+            times[job as usize] = self.times[s];
+            mask |= 1u64 << job;
+            next = s + 1;
+            target -= pair;
         }
         // Duplicate-class members are interchangeable: the canonical
         // ordering may have assigned a twin's slot; any bijection within
@@ -784,7 +805,7 @@ impl ParallelPlan {
         });
         let nodes_before = solver.nodes;
         let mask = 1u64 << job;
-        let suffix = solver.suffix(Some(s), mask);
+        let suffix = solver.suffix(s as usize + 1, mask);
         if suffix == INF {
             return SubtreeOutcome::Solved {
                 value: None,
@@ -799,7 +820,7 @@ impl ParallelPlan {
         }
         let mut times = vec![0; nc];
         times[job as usize] = comp.slots[s as usize];
-        let times = solver.reconstruct_from(Some(s), mask, times, suffix);
+        let times = solver.reconstruct_from(s as usize + 1, mask, times, suffix);
         SubtreeOutcome::Solved {
             value: Some(value),
             times,
@@ -878,17 +899,14 @@ impl ParallelPlan {
 /// order.
 fn root_frontier(inst: &MultiInstance, slots: &[Time], cost: Cost) -> Vec<(u16, u8)> {
     let seed = Solver::new(inst, slots, cost);
-    let n = inst.job_count();
-    let mut hi = (slots.len() - n) as u16;
-    for j in 0..n {
-        hi = hi.min(seed.max_slot[j]);
-    }
     let mut roots = Vec::new();
-    for s in 0..=hi {
-        for &job in &seed.jobs_at[s as usize] {
-            if seed.canonical(job, 0) {
-                roots.push((s, job));
-            }
+    for s in 0..=slots.len() - inst.job_count() {
+        let mut open = seed.jobs_at[s];
+        while let Some(job) = seed.next_branch(&mut open, 0) {
+            roots.push((s as u16, job as u8));
+        }
+        if seed.due_by[s] != 0 {
+            break;
         }
     }
     roots

@@ -68,6 +68,23 @@ use gaps_core::instance::{Instance, MultiInstance};
 use gaps_workloads::serialize;
 use std::time::Instant;
 
+/// Largest accepted transition cost α. The power solvers add α (and
+/// `1 + α`) per wake-up in `u64`; at most `u32::MAX` keeps `n · (α + 1)`
+/// within `u64` for any `n < 2³¹` jobs, so no power cost can wrap.
+pub const MAX_ALPHA: u64 = u32::MAX as u64;
+
+/// Accept `alpha` if it is at most [`MAX_ALPHA`]; otherwise an error that
+/// names the bound.
+pub fn check_alpha(alpha: u64) -> Result<u64, String> {
+    if alpha <= MAX_ALPHA {
+        Ok(alpha)
+    } else {
+        Err(format!(
+            "alpha {alpha} is too large: at most {MAX_ALPHA} (u32::MAX) keeps power costs within u64"
+        ))
+    }
+}
+
 /// What to minimize, batch-wide.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Objective {
@@ -83,12 +100,15 @@ pub enum Objective {
 }
 
 impl Objective {
-    /// Parse the CLI spelling (`gaps` / `spans` / `power` + alpha).
+    /// Parse the CLI spelling (`gaps` / `spans` / `power` + alpha);
+    /// `power` rejects an alpha above [`MAX_ALPHA`].
     pub fn parse(name: &str, alpha: u64) -> Result<Objective, String> {
         match name {
             "gaps" => Ok(Objective::Gaps),
             "spans" => Ok(Objective::Spans),
-            "power" => Ok(Objective::Power { alpha }),
+            "power" => Ok(Objective::Power {
+                alpha: check_alpha(alpha)?,
+            }),
             other => Err(format!("unknown objective {other:?}")),
         }
     }
@@ -429,6 +449,18 @@ mod tests {
             });
         }
         out
+    }
+
+    #[test]
+    fn power_alpha_is_bounded_where_the_objective_is_parsed() {
+        assert_eq!(
+            Objective::parse("power", MAX_ALPHA),
+            Ok(Objective::Power { alpha: MAX_ALPHA })
+        );
+        for alpha in [MAX_ALPHA + 1, u64::MAX - 1, u64::MAX] {
+            let err = Objective::parse("power", alpha).unwrap_err();
+            assert!(err.contains(&MAX_ALPHA.to_string()), "{err}");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! `forced_chain` path and the power objective returns the exact
 //! `active slots + α per wake-up` optimum at any stream length.
 
-use crate::{BatchInstance, Engine, Objective};
+use crate::{check_alpha, BatchInstance, Engine, Objective};
 use gaps_core::{Instance, Time};
 use gaps_sim::policy::OnlineRun;
 use gaps_sim::{NeverSleep, PowerPolicy, SleepImmediately, Timeout};
@@ -120,8 +120,10 @@ pub struct OnlineTracker {
 
 impl OnlineTracker {
     /// Start a session under the named policy. Time begins at slot 0
-    /// with the processor asleep.
+    /// with the processor asleep. An alpha above [`crate::MAX_ALPHA`] is
+    /// refused.
     pub fn new(policy_name: &str, alpha: u64) -> Result<OnlineTracker, String> {
+        let alpha = check_alpha(alpha)?;
         let policy = parse_online_policy(policy_name, alpha)?;
         Ok(OnlineTracker {
             run: OnlineRun::new(policy, alpha),
@@ -254,6 +256,15 @@ mod tests {
             .err()
             .expect("unknown refused");
         assert!(err.contains("nope"), "{err}");
+    }
+
+    #[test]
+    fn alpha_above_the_bound_is_refused() {
+        assert!(OnlineTracker::new("timeout", crate::MAX_ALPHA).is_ok());
+        let err = OnlineTracker::new("timeout", crate::MAX_ALPHA + 1)
+            .err()
+            .expect("alpha past the bound refused");
+        assert!(err.contains(&crate::MAX_ALPHA.to_string()), "{err}");
     }
 
     #[test]

@@ -50,7 +50,9 @@ pub mod signal;
 use gaps_engine::pool::{self, TaskPool};
 use gaps_engine::{Engine, EngineConfig, MetricsSnapshot, Objective};
 use parking_lot::Mutex;
+use std::ffi::{c_int, c_short, c_ulong};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
 // Wall-clock reads are legal here: `crates/serve` is on the analyzer's
@@ -257,7 +259,7 @@ impl Server {
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
+                    wait_for_connection(&self.listener);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(format!("accept failed: {e}")),
@@ -277,6 +279,45 @@ impl Server {
         self.shared.engine.metrics().set_queue_depth(0);
         Ok(self.shared.engine.metrics().snapshot())
     }
+}
+
+/// How long, in milliseconds, the accept loop waits for a connection
+/// before it re-checks the drain flag. A connection ends the wait at
+/// once, so this bounds only how long a drained daemon takes to exit.
+/// Keep it short: a daemon that lingers leaves the CPU idle long enough
+/// that the next process to start runs measurably slower.
+const DRAIN_CHECK_MS: c_int = 5;
+
+/// `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+/// `POLLIN` from `<poll.h>`: data (here, a pending connection) to read.
+const POLLIN: c_short = 0x001;
+
+// SAFETY: `poll(2)` is in every POSIX C library with exactly this shape
+// (`nfds_t` is `unsigned long` on Linux, the target of this workspace).
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
+
+/// Block until `listener` has a connection to accept, [`DRAIN_CHECK_MS`]
+/// pass, or a signal interrupts the wait; the caller retries `accept`
+/// either way, so every outcome of `poll` is handled by ignoring it.
+fn wait_for_connection(listener: &TcpListener) {
+    let mut entry = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    // SAFETY: `entry` is one valid, exclusively borrowed `pollfd` and the
+    // count passed is 1; the borrowed listener keeps the descriptor open
+    // for the whole call.
+    let _ = unsafe { poll(&mut entry, 1, DRAIN_CHECK_MS) };
 }
 
 /// Tell an over-capacity client why it is being dropped. Best-effort.

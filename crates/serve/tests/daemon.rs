@@ -457,6 +457,38 @@ fn malformed_session_corpus_is_answered_with_err_and_the_session_survives() {
 }
 
 #[test]
+fn session_alpha_above_the_bound_is_refused_and_the_connection_survives() {
+    // Past `MAX_ALPHA` the session's power costs could wrap u64.
+    let max = gaps_engine::MAX_ALPHA;
+    let daemon = start(ServeConfig::default());
+    let mut client = Client::connect(daemon.addr);
+    for alpha in [max + 1, u64::MAX] {
+        client.send(&format!("SESSION begin timeout {alpha}"));
+        let reply = client.recv();
+        assert!(
+            reply.starts_with("ERR - ") && reply.contains(&max.to_string()),
+            "{reply}"
+        );
+    }
+    client.send(&format!("SESSION begin timeout {max}"));
+    assert_eq!(
+        client.recv(),
+        format!("SESSION begun policy=timeout alpha={max}")
+    );
+    client.send("SESSION arrive 5");
+    assert_eq!(client.recv(), "SESSION t=6 state=awake online=4294967296");
+    client.send("SESSION end");
+    assert!(client
+        .recv()
+        .starts_with(&format!("SESSION end policy=timeout alpha={max} jobs=1 ")));
+    client.send("PING");
+    assert_eq!(client.recv(), "PONG");
+    client.send("DRAIN");
+    assert_eq!(client.recv(), "DRAINING");
+    daemon.finish();
+}
+
+#[test]
 fn drain_finishes_queued_work_before_closing_connections() {
     let daemon = start(ServeConfig {
         threads: 1,

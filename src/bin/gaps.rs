@@ -278,7 +278,7 @@ fn cmd_info(args: &Args) -> Result<String, String> {
 
 fn cmd_solve(args: &Args) -> Result<String, String> {
     let objective = args.get("objective").unwrap_or("gaps");
-    let alpha: u64 = args.parse_or("alpha", 1u64)?;
+    let alpha = gap_scheduling::engine::check_alpha(args.parse_or("alpha", 1u64)?)?;
     let mut out = String::new();
     match load(args.require("input")?)? {
         AnyInstance::One(inst) => match objective {
@@ -492,7 +492,7 @@ fn cmd_approx(args: &Args) -> Result<String, String> {
 }
 
 fn cmd_simulate(args: &Args) -> Result<String, String> {
-    let alpha: u64 = args.parse_or("alpha", 1u64)?;
+    let alpha = gap_scheduling::engine::check_alpha(args.parse_or("alpha", 1u64)?)?;
     let policy_name = args.get("policy").unwrap_or("clairvoyant");
     let policy: Box<dyn PowerPolicy> = match policy_name {
         "clairvoyant" => Box::new(Clairvoyant { alpha }),
@@ -675,6 +675,81 @@ mod tests {
             .and_then(|w| w.parse().ok())
             .unwrap();
         assert_eq!(solved_power, sim_energy);
+    }
+
+    /// One-interval and multi-interval instances whose power optima at
+    /// α = u64::MAX used to wrap to `power=0` and `power=2`, written to
+    /// files named after the calling test (tests run in parallel).
+    fn alpha_instances(test: &str) -> (String, String) {
+        (
+            write_temp(
+                &format!("{test}-one.txt"),
+                "instance v1\nprocessors 1\njob 0 2\njob 10 12\n",
+            ),
+            write_temp(
+                &format!("{test}-multi.txt"),
+                "multi v1\njob 0 5\njob 1 9\njob 20\n",
+            ),
+        )
+    }
+
+    #[test]
+    fn alpha_above_the_bound_is_rejected() {
+        let (one, multi) = alpha_instances("alpha-rejected");
+        let max = gap_scheduling::engine::MAX_ALPHA;
+        for alpha in [max + 1, u64::MAX - 1, u64::MAX] {
+            let alpha = alpha.to_string();
+            for path in [&one, &multi] {
+                for cmd in ["batch", "solve"] {
+                    let err = run_str(&[
+                        cmd,
+                        "--input",
+                        path,
+                        "--objective",
+                        "power",
+                        "--alpha",
+                        &alpha,
+                    ])
+                    .unwrap_err();
+                    assert!(err.contains(&max.to_string()), "{cmd} {path}: {err}");
+                }
+            }
+            let err = run_str(&["simulate", "--input", &one, "--alpha", &alpha]).unwrap_err();
+            assert!(err.contains(&max.to_string()), "simulate: {err}");
+        }
+    }
+
+    #[test]
+    fn alpha_at_the_bound_matches_brute_force() {
+        let (one, multi) = alpha_instances("alpha-at-bound");
+        let alpha = gap_scheduling::engine::MAX_ALPHA;
+        let inst = MultiInstance::from_times(vec![vec![0, 5], vec![1, 9], vec![20]]).unwrap();
+        let (expected, _) = gap_scheduling::brute_force::min_power_multi(&inst, alpha).unwrap();
+        assert_eq!(expected, alpha + 16);
+        let batch = |path: &str| {
+            run_str(&[
+                "batch",
+                "--input",
+                path,
+                "--objective",
+                "power",
+                "--alpha",
+                &alpha.to_string(),
+                "--threads",
+                "1",
+            ])
+            .unwrap()
+        };
+        assert_eq!(
+            batch(&multi),
+            format!("0 multi n=3 power={expected} solver=multi_exact\n")
+        );
+        // The one-interval optimum: two wake-ups' worth of α is never
+        // cheaper than idling the 7 slots between the jobs.
+        assert_eq!(
+            batch(&one),
+            format!("0 one n=2 power={} solver=baptiste_dp\n", alpha + 9)
+        );
     }
 
     #[test]
