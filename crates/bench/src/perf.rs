@@ -145,8 +145,8 @@ pub fn multi_batch(count: usize) -> Vec<BatchInstance> {
 /// crossed and decomposition cannot split the search. At 18 jobs each
 /// instance clears the router's parallel threshold (17), making this the
 /// workload behind `multi_exact_parallel_speedup` (the whole win must
-/// come from the shared-incumbent subtree fan-out, not from peeling) and
-/// `multi_exact_nodes_per_ms`.
+/// come from the shared-incumbent subtree fan-out, not from peeling),
+/// `multi_exact_nodes_per_ms` and `multi_exact_power_nodes_per_ms`.
 pub fn coupled_batch(count: usize) -> Vec<BatchInstance> {
     let mut rng = StdRng::seed_from_u64(0xC09E);
     (0..count)
@@ -198,7 +198,8 @@ fn time_row(name: impl Into<String>, samples: usize, mut run: impl FnMut()) -> P
 /// Measure engine batch throughput cold (fresh cache, threads 1/2/4) and
 /// warm (second pass over the same engine), the multi-interval solvers,
 /// and derive thread speedups, the warm-cache hit rate and the exact
-/// search's node rate. Every row is timed `samples` times.
+/// search's node rates under gaps and under power. Every row is timed
+/// `samples` times.
 pub fn engine_trajectory(instances: usize, samples: usize) -> PerfSuite {
     let batch = mixed_batch(instances);
     let mut suite = PerfSuite {
@@ -319,6 +320,22 @@ pub fn engine_trajectory(instances: usize, samples: usize) -> PerfSuite {
     suite.results.push(sequential);
     suite.results.push(parallel);
 
+    // (c) The power search on the same coupled cores: it prunes on its
+    // own admissible slot-union floor, so its node count and rate are
+    // tracked apart from the gaps search's.
+    let power = MultiObjective::Power { alpha: 2 };
+    let power_nodes: u64 = coupled
+        .iter()
+        .map(|inst| multi_exact::solve_multi_stats(inst, power).1.nodes_expanded)
+        .sum();
+    let power_row = time_row("multi_sequential_power/alpha=2", samples, || {
+        for inst in &coupled {
+            assert!(multi_exact::solve_multi_stats(inst, power).0.is_some());
+        }
+    });
+    let power_median = power_row.median_s();
+    suite.results.push(power_row);
+
     let cold1 = cold_medians[0].1;
     for &(threads, median) in &cold_medians[1..] {
         suite.derived.push((
@@ -348,6 +365,10 @@ pub fn engine_trajectory(instances: usize, samples: usize) -> PerfSuite {
         "multi_exact_nodes_per_ms".to_string(),
         coupled_nodes as f64 / (sequential_median * 1e3).max(f64::EPSILON),
     ));
+    suite.derived.push((
+        "multi_exact_power_nodes_per_ms".to_string(),
+        power_nodes as f64 / (power_median * 1e3).max(f64::EPSILON),
+    ));
     // The speedup is bounded by the CPUs the run had, so record them.
     suite.derived.push(("nproc".to_string(), nproc as f64));
     suite
@@ -370,7 +391,7 @@ mod tests {
     fn trajectory_produces_benchmarks_and_derived_metrics() {
         let suite = engine_trajectory(20, 2);
         assert_eq!(suite.suite, "engine");
-        assert_eq!(suite.results.len(), 9);
+        assert_eq!(suite.results.len(), 10);
         assert!(suite.results.iter().all(|r| r.samples == 2
             && 0 < r.min_ns
             && r.min_ns <= r.median_ns
@@ -378,6 +399,7 @@ mod tests {
         let nproc = std::thread::available_parallelism().map_or(1, usize::from);
         let rows: Vec<&str> = suite.results.iter().map(|r| r.name.as_str()).collect();
         assert!(rows.contains(&format!("multi_parallel/threads={nproc}").as_str()));
+        assert!(rows.contains(&"multi_sequential_power/alpha=2"));
         assert!(!rows.contains(&"multi_undecomposed/clustered"));
         let names: Vec<&str> = suite.derived.iter().map(|(n, _)| n.as_str()).collect();
         assert!(names.contains(&"warm_hit_rate"));
@@ -385,6 +407,7 @@ mod tests {
         assert!(names.contains(&"multi_exact_speedup_over_brute_force"));
         assert!(names.contains(&"multi_exact_parallel_speedup"));
         assert!(names.contains(&"multi_exact_nodes_per_ms"));
+        assert!(names.contains(&"multi_exact_power_nodes_per_ms"));
         assert!(!names.contains(&"decomposition_speedup"));
         assert!(names.contains(&"nproc"));
         let hit_rate = suite
@@ -414,6 +437,45 @@ mod tests {
                 "instance {i}: plan {plan_nodes} vs sequential {seq_nodes}"
             );
         }
+    }
+
+    #[test]
+    fn power_optima_and_witnesses_are_pinned() {
+        use gaps_core::multi_exact;
+        // 64-bit FNV-1a over each instance's optimum and witness times,
+        // per family and α. Pruning may change how many states the search
+        // expands, never what it returns.
+        fn digest(instances: &[MultiInstance], alpha: u64) -> u64 {
+            let mut hash = 0xcbf2_9ce4_8422_2325u64;
+            let mut feed = |word: i64| {
+                for byte in word.to_le_bytes() {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x0100_0000_01b3);
+                }
+            };
+            for inst in instances {
+                let (value, sched) = multi_exact::min_power_multi(inst, alpha).unwrap();
+                feed(value as i64);
+                sched.times().iter().for_each(|&t| feed(t));
+            }
+            hash
+        }
+        let multi = bare_multi(multi_batch(200));
+        let coupled = bare_multi(coupled_batch(60));
+        let pins = [
+            ("multi_batch", &multi, 1, 0xef1b_1319_8bcc_7361),
+            ("multi_batch", &multi, 2, 0x7477_f04c_b369_4c77),
+            ("multi_batch", &multi, 5, 0xa537_6b47_2ba5_561b),
+            ("coupled_batch", &coupled, 1, 0x17ad_d422_867a_c3f7),
+            ("coupled_batch", &coupled, 2, 0xe4cf_9b87_3113_aa22),
+            ("coupled_batch", &coupled, 5, 0x641a_59fe_0f5f_0d68),
+        ];
+        let got: Vec<_> = pins
+            .iter()
+            .map(|&(family, instances, alpha, _)| (family, alpha, digest(instances, alpha)))
+            .collect();
+        let want: Vec<_> = pins.iter().map(|&(f, _, a, d)| (f, a, d)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

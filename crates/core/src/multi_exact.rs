@@ -56,8 +56,13 @@
 //!   ([`crate::lower_bounds::setcover_spans_relaxation`]) meets it, the
 //!   search is skipped entirely. Inside the search, branches iterate in
 //!   non-decreasing pair-cost order and cut off against the incumbent of
-//!   their own state plus an admissible suffix bound (remaining busy
-//!   cost) — exact, because a skipped branch provably cannot improve the
+//!   their own state plus an admissible floor on the rest. Under power
+//!   that floor is [`SlotFloor`]: the cheapest chain of distinct union
+//!   slots for the jobs still to place, wake-ups and capped holes
+//!   included, precomputed per component. A slot whose floor cannot beat
+//!   the state's best is skipped, and the loop stops at the first slot
+//!   from which no later slot can. Under spans the floor is 0. Both cuts
+//!   are exact, because a skipped branch provably cannot improve the
 //!   state's minimum.
 //!
 //! # Parallelism
@@ -283,17 +288,6 @@ impl Cost {
         }
     }
 
-    /// Admissible bound on the suffix cost of `r` still-unplaced jobs:
-    /// each costs at least its busy slot under power, nothing provable
-    /// under spans.
-    #[inline]
-    fn suffix_floor(self, r: usize) -> u64 {
-        match self {
-            Cost::Spans => 0,
-            Cost::Power { .. } => r as u64,
-        }
-    }
-
     /// Minimum dead-zone width at which the timeline may be cut exactly.
     ///
     /// Spans: any dead zone (width ≥ 1) — no span crosses it, and the
@@ -407,6 +401,88 @@ fn solve_component(
     Some((best, sched))
 }
 
+/// The power search's admissible floor on what a state still has to
+/// place, taken from the slot union alone.
+///
+/// `rest(s, k)` is the least cost of placing `k` more jobs on distinct
+/// union slots after slot `s`, each paying [`Cost::pair`] from the slot
+/// before it:
+///
+/// ```text
+/// rest(s, 0) = 0
+/// rest(s, k) = min over u > s of pair(t_s, t_u) + rest(u, k − 1)
+/// ```
+///
+/// (`INF` when fewer than `k` slots follow `s`), and `rest_min(s, k)` is
+/// the least `rest(s', k)` over `s' ≥ s`. The table ignores which job
+/// goes where, so every completion of a state whose last placement is at
+/// `s` with `k` jobs left is one of the chains it minimizes over: the
+/// floor is admissible. Unlike one busy slot per job, it charges the
+/// wake-ups and capped holes that the union's runs force.
+///
+/// Spans builds no table and keeps a floor of 0, so its search expands
+/// exactly the states it did before. The same table under spans would
+/// prune that search too, but the benchmark's `batch_coupled` workload
+/// selects its instances by this search's node count
+/// (`servebench/benches/workload.rs`), so a spans floor waits until that
+/// selection no longer depends on the solver it measures (ROADMAP,
+/// item 1).
+struct SlotFloor {
+    /// Slot-union length; entry `(s, k)` sits at `k · slots + s`.
+    slots: usize,
+    /// `(rest, rest_min)` per entry, rows `k = 0..n`; empty under spans.
+    table: Vec<(u64, u64)>,
+}
+
+impl SlotFloor {
+    /// The table of a component with `n` jobs over the sorted union
+    /// `times`: O(slots · n · min(α + 1, slots)) under power.
+    fn new(cost: Cost, times: &[Time], n: usize) -> SlotFloor {
+        let slots = times.len();
+        let Cost::Power { alpha } = cost else {
+            return SlotFloor {
+                slots,
+                table: Vec::new(),
+            };
+        };
+        let mut table = vec![(0, 0); slots * n];
+        for k in 1..n {
+            let (done, todo) = table.split_at_mut(k * slots);
+            let prev = &done[(k - 1) * slots..];
+            let row = &mut todo[..slots];
+            // `far` is the first slot after `s` whose hole from `s` is at
+            // least α: it and every later slot cost the same capped
+            // `1 + α`, so one `rest_min` covers them all.
+            let mut far = slots;
+            for s in (0..slots).rev() {
+                while far > s + 1 && (times[far - 1] - times[s] - 1) as u64 >= alpha {
+                    far -= 1;
+                }
+                let pair = |u: usize| cost.pair(Some(times[s]), times[u]);
+                let mut rest = (s + 1..far)
+                    .map(|u| pair(u).saturating_add(prev[u].0))
+                    .min()
+                    .unwrap_or(INF);
+                if far < slots {
+                    rest = rest.min(pair(far).saturating_add(prev[far].1));
+                }
+                let later = row.get(s + 1).map_or(INF, |&(_, m)| m);
+                row[s] = (rest, rest.min(later));
+            }
+        }
+        SlotFloor { slots, table }
+    }
+
+    /// `(rest(s, k), rest_min(s, k))`, or `(0, 0)` under spans.
+    #[inline]
+    fn at(&self, s: usize, k: usize) -> (u64, u64) {
+        self.table
+            .get(k * self.slots + s)
+            .copied()
+            .unwrap_or((0, 0))
+    }
+}
+
 struct Solver {
     n: usize,
     cost: Cost,
@@ -423,6 +499,8 @@ struct Solver {
     /// allowed set, or 0 (the duplicate-class chain used by the dominance
     /// pruning).
     twin: Vec<u64>,
+    /// Admissible floors on what is left to place after each slot.
+    floor: SlotFloor,
     /// Suffix-value memo, one table per first free slot (`last + 1`,
     /// 0 before any placement), keyed by the placed-job mask.
     memo: Vec<FastMap<u64, u64>>,
@@ -474,6 +552,7 @@ impl Solver {
             jobs_at,
             due_by,
             twin,
+            floor: SlotFloor::new(cost, slots, n),
             memo: (0..=slots.len()).map(|_| FastMap::default()).collect(),
             nodes: 0,
             #[cfg(debug_assertions)]
@@ -556,22 +635,28 @@ impl Solver {
         }
         let r = self.n - mask.count_ones() as usize;
         let prev_time = self.prev_time(next);
-        let floor = self.cost.suffix_floor(r - 1);
         let mut best = INF;
         // The next occupied slot must leave r − 1 free slots behind it.
         for s in next..=self.times.len() - r {
             let pair = self.cost.pair(prev_time, self.times[s]);
-            // Pair costs are non-decreasing in the slot (holes only grow),
-            // so once even the admissible floor cannot beat the incumbent
-            // the remaining branches are dominated — cut the whole loop.
-            if best != INF && pair.saturating_add(floor) >= best {
+            let (rest, rest_min) = self.floor.at(s, r - 1);
+            // Pair costs are non-decreasing in the slot (holes only grow)
+            // and `rest_min` floors every later slot's remainder, so once
+            // that cannot beat the state's best, neither can any branch
+            // from here on: cut the whole loop.
+            if pair.saturating_add(rest_min) >= best {
                 break;
             }
-            let mut open = self.jobs_at[s] & !mask;
-            while let Some(job) = self.next_branch(&mut open, mask) {
-                let v = self.suffix(s + 1, mask | 1u64 << job);
-                if v != INF {
-                    best = best.min(pair + v);
+            // Skip this slot's children when its own floor cannot beat
+            // the best: none of them could set the minimum, so the memo
+            // stays exact.
+            if pair.saturating_add(rest) < best {
+                let mut open = self.jobs_at[s] & !mask;
+                while let Some(job) = self.next_branch(&mut open, mask) {
+                    let v = self.suffix(s + 1, mask | 1u64 << job);
+                    if v != INF {
+                        best = best.min(pair + v);
+                    }
                 }
             }
             // An unplaced job due by `s` cannot wait for a later slot.
@@ -685,8 +770,8 @@ struct PlanComponent {
     upper: u64,
     /// Lower bound met the greedy witness: certified optimal, no tasks.
     closed: bool,
-    /// Root frontier `(slot index, job)` in canonical scan order.
-    roots: Vec<(u16, u8)>,
+    /// Root frontier in canonical scan order.
+    roots: Vec<Root>,
     /// Shared best-so-far (monotone non-increasing). Relaxed ordering is
     /// sound: the bound is the only datum transferred, staleness only
     /// weakens pruning, and exactness never depends on reading the
@@ -784,16 +869,16 @@ impl ParallelPlan {
             "a worker memo serves only the plan that made it"
         );
         let comp = &self.components[task.component];
-        let (s, job) = comp.roots[task.root];
+        let root = comp.roots[task.root];
+        let (s, job) = (root.slot, root.job);
         let nc = comp.inst.job_count();
-        let pair = self.cost.pair(None, comp.slots[s as usize]);
-        let floor = self.cost.suffix_floor(nc - 1);
         // Strict `>`: a subtree whose exact optimum equals the incumbent
         // still runs, so every optimum-attaining root reports its value
         // — that is what keeps the winner choice timing-independent.
-        if pair.saturating_add(floor) > comp.incumbent.load(Ordering::Relaxed) {
+        if root.floor > comp.incumbent.load(Ordering::Relaxed) {
             return SubtreeOutcome::Skipped;
         }
+        let pair = self.cost.pair(None, comp.slots[s as usize]);
         if matches!(&memo.current, Some((c, _)) if *c != task.component) {
             memo.current = None;
         }
@@ -894,16 +979,36 @@ impl ParallelPlan {
     }
 }
 
+/// One root-frontier branch of a component's search.
+#[derive(Clone, Copy)]
+struct Root {
+    /// Slot index of the first occupied slot.
+    slot: u16,
+    /// The job placed there.
+    job: u8,
+    /// Admissible floor on every schedule in the subtree: the first
+    /// placement's cost plus [`SlotFloor`]'s `rest` for the other jobs.
+    floor: u64,
+}
+
 /// The canonical root frontier of one component: every `(first slot,
 /// job)` branch the sequential search's root state would scan, in scan
 /// order.
-fn root_frontier(inst: &MultiInstance, slots: &[Time], cost: Cost) -> Vec<(u16, u8)> {
+fn root_frontier(inst: &MultiInstance, slots: &[Time], cost: Cost) -> Vec<Root> {
     let seed = Solver::new(inst, slots, cost);
+    let n = inst.job_count();
     let mut roots = Vec::new();
-    for s in 0..=slots.len() - inst.job_count() {
+    for s in 0..=slots.len() - n {
+        let floor = cost
+            .pair(None, seed.times[s])
+            .saturating_add(seed.floor.at(s, n - 1).0);
         let mut open = seed.jobs_at[s];
         while let Some(job) = seed.next_branch(&mut open, 0) {
-            roots.push((s as u16, job as u8));
+            roots.push(Root {
+                slot: s as u16,
+                job: job as u8,
+                floor,
+            });
         }
         if seed.due_by[s] != 0 {
             break;
@@ -1188,6 +1293,67 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn slot_floor_is_the_cheapest_chain_of_union_slots() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Brute force: for each k, the cheapest k-subset of the union
+        // slots after `s`, each paying its pair cost from the one before.
+        fn cheapest_by_count(cost: Cost, times: &[Time], s: usize) -> Vec<u64> {
+            let after = &times[s + 1..];
+            let mut best = vec![INF; after.len() + 1];
+            for set in 0u32..1 << after.len() {
+                let mut prev = times[s];
+                let mut total = 0;
+                for (u, &t) in after.iter().enumerate() {
+                    if set >> u & 1 == 1 {
+                        total += cost.pair(Some(prev), t);
+                        prev = t;
+                    }
+                }
+                let k = set.count_ones() as usize;
+                best[k] = best[k].min(total);
+            }
+            best
+        }
+        for seed in 0..60u64 {
+            let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x51F7));
+            let jobs: Vec<Vec<i64>> = (0..rng.gen_range(1..=6))
+                .map(|_| {
+                    (0..rng.gen_range(1..=2))
+                        .map(|_| rng.gen_range(0..24))
+                        .collect()
+                })
+                .collect();
+            let i = inst(&jobs);
+            let times = i.slot_union();
+            let n = i.job_count();
+            for alpha in [0u64, 1, 2, 5] {
+                let cost = Cost::Power { alpha };
+                let floor = SlotFloor::new(cost, &times, n);
+                let brute: Vec<Vec<u64>> = (0..times.len())
+                    .map(|s| cheapest_by_count(cost, &times, s))
+                    .collect();
+                for k in 0..n {
+                    let mut later = INF;
+                    for s in (0..times.len()).rev() {
+                        let rest = brute[s].get(k).copied().unwrap_or(INF);
+                        later = later.min(rest);
+                        assert_eq!(
+                            floor.at(s, k),
+                            (rest, later),
+                            "seed {seed} α={alpha} s={s} k={k} on {times:?}"
+                        );
+                    }
+                }
+            }
+        }
+        // Spans builds no table: its floor is 0 everywhere.
+        let spans = SlotFloor::new(Cost::Spans, &[0, 1, 5], 3);
+        assert!(spans.table.is_empty());
+        assert_eq!(spans.at(1, 2), (0, 0));
     }
 
     #[test]

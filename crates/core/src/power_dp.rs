@@ -94,12 +94,8 @@ pub fn min_power_schedule(inst: &Instance, alpha: u64) -> Option<PowerSolution> 
             schedule: Schedule::new(vec![]),
         });
     }
-    crate::edf::edf(inst).ok()?;
-
-    let mut ctx = Ctx::new(inst, alpha);
+    let (mut ctx, power) = evaluate(inst, alpha)?;
     let top = ctx.top_state();
-    let power = ctx.value(top);
-    assert_ne!(power, INF, "EDF said feasible, DP must agree");
 
     let mut placements: Vec<(i64, u32)> = vec![(i64::MIN, 0); n];
     ctx.walk(top, &mut placements);
@@ -124,9 +120,23 @@ pub fn min_power_schedule(inst: &Instance, alpha: u64) -> Option<PowerSolution> 
     Some(PowerSolution { power, schedule })
 }
 
-/// Convenience: just the optimal power.
+/// Just the optimal power: the same DP as [`min_power_schedule`], without
+/// walking the memo for a witness.
 pub fn min_power_value(inst: &Instance, alpha: u64) -> Option<u64> {
-    min_power_schedule(inst, alpha).map(|s| s.power)
+    if inst.job_count() == 0 {
+        return Some(0);
+    }
+    evaluate(inst, alpha).map(|(_, power)| power)
+}
+
+/// Run the DP on a non-empty instance: its context (memo filled) and the
+/// optimum, or `None` if infeasible.
+fn evaluate(inst: &Instance, alpha: u64) -> Option<(Ctx, u64)> {
+    crate::edf::edf(inst).ok()?;
+    let mut ctx = Ctx::new(inst, alpha);
+    let power = ctx.value(ctx.top_state());
+    assert_ne!(power, INF, "EDF said feasible, DP must agree");
+    Some((ctx, power))
 }
 
 /// DP state; `a1`, `a2` are **active** counts at the edges (own actives;

@@ -466,8 +466,24 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     Ok(String::new())
 }
 
+/// Accept an `approx` α that is a number in `[0, MAX_ALPHA]` (the bound
+/// the exact entry points enforce with `check_alpha`), returning ⌊α⌋ for
+/// the integral lower bound. Optimal power never decreases as α grows,
+/// so the bound at ⌊α⌋ still bounds every schedule's cost at α.
+fn approx_alpha(alpha: f64) -> Result<u64, String> {
+    let max = gap_scheduling::engine::MAX_ALPHA;
+    if (0.0..=max as f64).contains(&alpha) {
+        Ok(alpha.floor() as u64)
+    } else {
+        Err(format!(
+            "bad --alpha {alpha}: must be a number from 0 to {max} (u32::MAX)"
+        ))
+    }
+}
+
 fn cmd_approx(args: &Args) -> Result<String, String> {
     let alpha: f64 = args.parse_or("alpha", 1.0f64)?;
+    let bound_alpha = approx_alpha(alpha)?;
     let rounds: usize = args.parse_or("rounds", 64usize)?;
     let AnyInstance::Multi(inst) = load(args.require("input")?)? else {
         return Err("`gaps approx` expects a multi-interval instance".into());
@@ -482,7 +498,7 @@ fn cmd_approx(args: &Args) -> Result<String, String> {
             );
             out += &format!(
                 "power lower bound: {}\n",
-                lower_bounds::min_power_lower_bound(&inst, alpha.round() as u64)
+                lower_bounds::min_power_lower_bound(&inst, bound_alpha)
             );
             out += &format!("slots used: {:?}\n", res.schedule.occupied());
         }
@@ -767,6 +783,37 @@ mod tests {
         let out = run_str(&["approx", "--input", &path, "--alpha", "2"]).unwrap();
         assert!(out.contains("approximate power"));
         assert!(out.contains("lower bound"));
+    }
+
+    #[test]
+    fn approx_lower_bound_never_exceeds_the_approximation() {
+        for (seed, n) in [("1", "6"), ("2", "8"), ("3", "8"), ("4", "8"), ("5", "8")] {
+            let text = run_str(&["generate", "--kind", "multi", "--seed", seed, "--n", n]).unwrap();
+            let path = write_temp(&format!("approx-bound-{seed}.txt"), &text);
+            for alpha in ["0.5", "2.5"] {
+                let out = run_str(&["approx", "--input", &path, "--alpha", alpha]).unwrap();
+                let field = |prefix: &str| -> f64 {
+                    let line = out.lines().find(|l| l.starts_with(prefix)).unwrap();
+                    line.rsplit(' ').next().unwrap().parse().unwrap()
+                };
+                let (approx, bound) = (field("approximate power"), field("power lower bound"));
+                assert!(
+                    bound <= approx,
+                    "seed {seed} α={alpha}: {bound} > {approx}\n{out}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn approx_rejects_a_bad_alpha() {
+        let text = run_str(&["generate", "--kind", "multi", "--seed", "1", "--n", "6"]).unwrap();
+        let path = write_temp("approx-bad-alpha.txt", &text);
+        let max = gap_scheduling::engine::MAX_ALPHA.to_string();
+        for alpha in ["-5", "nan", "inf", "1e20"] {
+            let err = run_str(&["approx", "--input", &path, "--alpha", alpha]).unwrap_err();
+            assert!(err.contains(&max), "α={alpha}: {err}");
+        }
     }
 
     #[test]

@@ -13,13 +13,17 @@
 //! Together the one-interval properties draw 640 instances per run — 160
 //! cases each, comfortably over the ≥ 500 acceptance floor — and the
 //! multi-interval block below adds 200 more, each checked on all three
-//! objectives against the exhaustive reference; on failure the proptest
+//! objectives against the exhaustive reference, plus 200 banded instances
+//! checked on power; on failure the proptest
 //! stub prints the case number and `PROPTEST_SEED` to replay it (see
 //! README §Testing).
 
 use gap_scheduling::instance::{Instance, MultiInstance};
+use gap_scheduling::workloads::multi_interval;
 use gap_scheduling::{baptiste, brute_force, multi_exact, multiproc_dp, power_dp};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Random one-interval instance: up to `n_max` jobs with windows inside
 /// `[0, t_max]`, 1..=`p_max` processors.
@@ -62,11 +66,18 @@ proptest! {
     }
 
     /// Theorem 2 power DP ≡ exhaustive search across α (sleeping,
-    /// crossover, and bridging regimes).
+    /// crossover, and bridging regimes). The value-only entry point the
+    /// router calls must agree with the witness-building one.
     #[test]
     fn power_dp_bit_matches_brute_force(inst in arb_instance(6, 8, 3), alpha in 0u64..8) {
         let dp = power_dp::min_power_schedule(&inst, alpha);
         let bf = brute_force::min_power_multiproc(&inst, alpha);
+        prop_assert_eq!(
+            power_dp::min_power_value(&inst, alpha),
+            dp.as_ref().map(|dp| dp.power),
+            "value-only power diverged (alpha {})",
+            alpha
+        );
         prop_assert_eq!(dp.is_some(), bf.is_some(), "power feasibility diverged");
         if let (Some(dp), Some((bf, _))) = (dp, bf) {
             prop_assert_eq!(dp.power, bf, "power optimum diverged (alpha {})", alpha);
@@ -217,6 +228,49 @@ proptest! {
     }
 }
 
+/// Random `banded` instance: 2–9 jobs, each anchored on its own slot of
+/// 2–3 bands separated by width-3 holes, plus 1–2 extra slots anywhere in
+/// the bands (so most draws couple the bands into one component).
+fn arb_banded() -> impl Strategy<Value = MultiInstance> {
+    (2usize..=9, 2usize..=3, 0i64..=2, 1usize..=2, 0u64..u64::MAX).prop_map(
+        |(n, bands, slack, extra, seed)| {
+            let band_len = (n + bands - 1) as i64 / bands as i64 + slack;
+            let mut rng = StdRng::seed_from_u64(seed);
+            multi_interval::banded(&mut rng, n, bands, band_len, extra)
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Power on banded instances, against the exhaustive reference. The
+    /// power search prunes on a floor that charges the wake-ups and
+    /// capped holes between runs of union slots, and banded instances are
+    /// made of such runs and holes, so this is where a floor that
+    /// overshoots would cut off the optimum. The witness must verify and
+    /// attain the value, and the parallel plan (whose root skip uses the
+    /// same floor) must return the same schedule.
+    #[test]
+    fn banded_power_bit_matches_brute_force(inst in arb_banded(), alpha in 0u64..6) {
+        let me = multi_exact::min_power_multi(&inst, alpha);
+        let bf = brute_force::min_power_multi(&inst, alpha);
+        prop_assert_eq!(
+            me.as_ref().map(|(v, _)| *v),
+            bf.map(|(v, _)| v),
+            "power optimum diverged (alpha {})",
+            alpha
+        );
+        if let Some((value, sched)) = &me {
+            sched.verify(&inst).unwrap();
+            prop_assert_eq!(gap_scheduling::power::power_cost_single(sched, alpha), *value);
+        }
+        let objective = multi_exact::MultiObjective::Power { alpha };
+        let (par, _) = gap_scheduling::engine::parallel::solve_multi_parallel(&inst, objective, 2);
+        prop_assert_eq!(&par, &me, "parallel plan diverged (alpha {})", alpha);
+    }
+}
+
 /// The multi-interval exhaustive reference itself is pinned against the
 /// matching-based feasibility oracle: whenever `brute_force` says
 /// infeasible, the Hall-violator certificate must exist, and vice versa.
@@ -225,8 +279,7 @@ proptest! {
 #[test]
 fn brute_force_feasibility_matches_matching_oracle() {
     use gap_scheduling::feasibility;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::Rng;
     let mut rng = StdRng::seed_from_u64(0xD1FF);
     for case in 0..120 {
         let n = rng.gen_range(1..=6);
