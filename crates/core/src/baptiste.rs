@@ -90,7 +90,12 @@ pub fn min_spans_value(inst: &Instance) -> Option<u64> {
 /// Minimum power on one processor with transition cost `alpha`
 /// (gap of length `g` costs `min(g, α)`; the first wake-up costs `α`).
 /// `None` iff infeasible.
+///
+/// # Panics
+/// Panics if the instance has more than one processor, or if `alpha`
+/// exceeds [`crate::power::MAX_ALPHA`].
 pub fn min_power_value(inst: &Instance, alpha: u64) -> Option<u64> {
+    crate::power::assert_alpha(alpha);
     assert_eq!(
         inst.processors(),
         1,
@@ -129,7 +134,12 @@ pub fn min_gaps_schedule(inst: &Instance) -> Option<(u64, crate::schedule::Sched
 }
 
 /// Witness schedule for [`min_power_value`] (delegates to the general DP).
+///
+/// # Panics
+/// Panics if the instance has more than one processor, or if `alpha`
+/// exceeds [`crate::power::MAX_ALPHA`].
 pub fn min_power_schedule(inst: &Instance, alpha: u64) -> Option<(u64, crate::schedule::Schedule)> {
+    crate::power::assert_alpha(alpha);
     assert_eq!(
         inst.processors(),
         1,

@@ -131,11 +131,16 @@ pub enum MultiObjective {
 }
 
 impl MultiObjective {
+    /// The search's cost model; every public entry point starts here, so
+    /// this is where a power objective's α is held to its bound.
     fn cost(self) -> Cost {
         match self {
             // Gaps reuse the span minimizer: gaps = spans − 1.
             MultiObjective::Gaps | MultiObjective::Spans => Cost::Spans,
-            MultiObjective::Power { alpha } => Cost::Power { alpha },
+            MultiObjective::Power { alpha } => {
+                crate::power::assert_alpha(alpha);
+                Cost::Power { alpha }
+            }
         }
     }
 
@@ -185,6 +190,10 @@ pub fn min_spans_multi(inst: &MultiInstance) -> Option<(u64, MultiSchedule)> {
 
 /// Minimum-power schedule under transition cost `alpha` (Theorem 3's
 /// problem, solved exactly), or `None` if infeasible.
+///
+/// # Panics
+/// Panics if `alpha` exceeds [`crate::power::MAX_ALPHA`], or if the
+/// instance has more than 64 jobs or 4096 distinct slots.
 pub fn min_power_multi(inst: &MultiInstance, alpha: u64) -> Option<(u64, MultiSchedule)> {
     solve_multi_stats(inst, MultiObjective::Power { alpha }).0
 }
@@ -193,6 +202,11 @@ pub fn min_power_multi(inst: &MultiInstance, alpha: u64) -> Option<(u64, MultiSc
 /// into independent components, solve each with the branch-and-bound,
 /// and add the optima (spans and power both add across qualifying dead
 /// zones; gaps are finalized as spans − 1).
+///
+/// # Panics
+/// Panics if a power objective's `alpha` exceeds
+/// [`crate::power::MAX_ALPHA`], or if the instance has more than 64
+/// jobs or 4096 distinct slots.
 pub fn solve_multi_stats(
     inst: &MultiInstance,
     objective: MultiObjective,
@@ -238,6 +252,11 @@ pub fn solve_multi_stats(
 /// instance. Kept public as the **differential reference** that pins the
 /// decomposition's exactness (`tests/solver_differential.rs` asserts
 /// equal optima against [`solve_multi_stats`] and `brute_force`).
+///
+/// # Panics
+/// Panics if a power objective's `alpha` exceeds
+/// [`crate::power::MAX_ALPHA`], or if the instance has more than 64
+/// jobs or 4096 distinct slots.
 pub fn solve_multi_undecomposed(
     inst: &MultiInstance,
     objective: MultiObjective,
@@ -795,6 +814,11 @@ pub struct ParallelPlan {
 impl ParallelPlan {
     /// Decompose and prepare the instance; `None` iff infeasible (some
     /// component has no complete matching).
+    ///
+    /// # Panics
+    /// Panics if a power objective's `alpha` exceeds
+    /// [`crate::power::MAX_ALPHA`], or if the instance has more than 64
+    /// jobs or 4096 distinct slots.
     pub fn new(inst: &MultiInstance, objective: MultiObjective) -> Option<ParallelPlan> {
         let cost = objective.cost();
         let n = inst.job_count();

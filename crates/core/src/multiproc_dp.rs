@@ -142,14 +142,30 @@ pub fn min_gap_schedule(inst: &Instance) -> Option<GapSolution> {
     })
 }
 
-/// Convenience: optimal finite-gap count only.
+/// Just the optimal finite-gap count: the same DP as
+/// [`min_gap_schedule`], without walking the memo for a witness.
 pub fn min_gap_value(inst: &Instance) -> Option<u64> {
-    min_gap_schedule(inst).map(|s| s.gaps)
+    min_span_value(inst).map(|spans| spans.saturating_sub(inst.processors() as u64))
 }
 
-/// Convenience: optimal span/transition count `G(p)` only.
+/// Just the optimal span/transition count `G(p)`: the same DP as
+/// [`min_span_schedule`], without walking the memo for a witness.
 pub fn min_span_value(inst: &Instance) -> Option<u64> {
-    min_span_schedule(inst).map(|s| s.spans)
+    if inst.job_count() == 0 {
+        return Some(0);
+    }
+    evaluate(inst).map(|(_, spans)| spans as u64)
+}
+
+/// Run the DP on a non-empty instance: its context (memo filled) and
+/// `G(p)`, or `None` if infeasible.
+fn evaluate(inst: &Instance) -> Option<(Ctx, u32)> {
+    // Fast infeasibility exit (EDF is exact for unit jobs).
+    crate::edf::edf(inst).ok()?;
+    let mut ctx = Ctx::new(inst);
+    let spans = ctx.value(ctx.top_state());
+    assert_ne!(spans, INF, "EDF said feasible, DP must agree");
+    Some((ctx, spans))
 }
 
 /// Core solver: `(G(p), prefix witness)`.
@@ -158,13 +174,8 @@ fn solve(inst: &Instance) -> Option<(u64, Schedule)> {
     if n == 0 {
         return Some((0, Schedule::new(vec![])));
     }
-    // Fast infeasibility exit (EDF is exact for unit jobs).
-    crate::edf::edf(inst).ok()?;
-
-    let mut ctx = Ctx::new(inst);
+    let (mut ctx, spans) = evaluate(inst)?;
     let top = ctx.top_state();
-    let spans = ctx.value(top);
-    assert_ne!(spans, INF, "EDF said feasible, DP must agree");
 
     let mut placements: Vec<(i64, u32)> = vec![(i64::MIN, 0); n];
     ctx.walk(top, &mut placements);

@@ -23,6 +23,21 @@
 use crate::schedule::{MultiSchedule, Schedule};
 use crate::time::{runs_of, Time};
 
+/// Largest transition cost α the exact power solvers accept. They add α
+/// (and `1 + α`) per wake-up in `u64`; at most `u32::MAX` keeps
+/// `n · (α + 1)` within `u64` for any `n < 2³¹` jobs, so no power cost can
+/// wrap.
+pub const MAX_ALPHA: u64 = u32::MAX as u64;
+
+/// The `# Panics` contract of the exact power solvers' entry points: an α
+/// above [`MAX_ALPHA`] could wrap a cost and yield a wrong optimum.
+pub(crate) fn assert_alpha(alpha: u64) {
+    assert!(
+        alpha <= MAX_ALPHA,
+        "alpha {alpha} exceeds MAX_ALPHA = {MAX_ALPHA} (u32::MAX), above which power costs can wrap u64"
+    );
+}
+
 /// Power cost of one processor's sorted busy slots under transition cost
 /// `alpha`, with optimal stay-awake decisions per gap:
 /// `busy + α + Σ_gaps min(gap_len, α)` (0 if never busy).
@@ -128,7 +143,10 @@ pub fn power_lower_bound(n: usize, alpha: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::{Instance, MultiInstance};
+    use crate::multi_exact::{self, MultiObjective};
     use crate::schedule::Schedule;
+    use crate::{baptiste, power_dp};
 
     #[test]
     fn processor_power_basics() {
@@ -191,5 +209,67 @@ mod tests {
     #[should_panic(expected = "alpha must be finite")]
     fn f64_rejects_nan() {
         power_cost_single_f(&MultiSchedule::new(vec![0]), f64::NAN);
+    }
+
+    /// Two jobs eight idle slots apart: above α = 8 the gap is bridged, so
+    /// the optimum is 2 busy slots + α + 8 = α + 10.
+    fn far_pair() -> (Instance, MultiInstance) {
+        let one = Instance::from_windows([(0, 0), (9, 9)], 1).expect("valid");
+        let multi = MultiInstance::from_times([vec![0], vec![9]]).expect("valid");
+        (one, multi)
+    }
+
+    #[test]
+    fn power_solvers_are_exact_at_max_alpha() {
+        let (one, multi) = far_pair();
+        let want = MAX_ALPHA + 10;
+        assert_eq!(power_dp::min_power_value(&one, MAX_ALPHA), Some(want));
+        let sol = power_dp::min_power_schedule(&one, MAX_ALPHA).expect("feasible");
+        assert_eq!(sol.power, want);
+        assert_eq!(baptiste::min_power_value(&one, MAX_ALPHA), Some(want));
+        let (power, _) = baptiste::min_power_schedule(&one, MAX_ALPHA).expect("feasible");
+        assert_eq!(power, want);
+        let (power, _) = multi_exact::min_power_multi(&multi, MAX_ALPHA).expect("feasible");
+        assert_eq!(power, want);
+        let objective = MultiObjective::Power { alpha: MAX_ALPHA };
+        let (solved, _) = multi_exact::solve_multi_stats(&multi, objective);
+        assert_eq!(solved.map(|(power, _)| power), Some(want));
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_ALPHA")]
+    fn power_dp_value_rejects_alpha_above_the_bound() {
+        power_dp::min_power_value(&far_pair().0, MAX_ALPHA + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_ALPHA")]
+    fn power_dp_schedule_rejects_alpha_above_the_bound() {
+        power_dp::min_power_schedule(&far_pair().0, u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_ALPHA")]
+    fn baptiste_value_rejects_alpha_above_the_bound() {
+        baptiste::min_power_value(&far_pair().0, u64::MAX - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_ALPHA")]
+    fn baptiste_schedule_rejects_alpha_above_the_bound() {
+        baptiste::min_power_schedule(&far_pair().0, MAX_ALPHA + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_ALPHA")]
+    fn multi_exact_rejects_alpha_above_the_bound() {
+        multi_exact::min_power_multi(&far_pair().1, u64::MAX - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_ALPHA")]
+    fn multi_exact_stats_reject_alpha_above_the_bound() {
+        let objective = MultiObjective::Power { alpha: u64::MAX };
+        multi_exact::solve_multi_stats(&far_pair().1, objective);
     }
 }

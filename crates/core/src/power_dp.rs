@@ -77,6 +77,9 @@ pub struct PowerSolution {
 /// Solve multiprocessor power minimization exactly (Theorem 2).
 /// Returns `None` iff the instance is infeasible.
 ///
+/// # Panics
+/// Panics if `alpha` exceeds [`crate::power::MAX_ALPHA`].
+///
 /// ```
 /// use gaps_core::instance::Instance;
 /// use gaps_core::power_dp::min_power_schedule;
@@ -87,6 +90,7 @@ pub struct PowerSolution {
 /// assert_eq!(min_power_schedule(&inst, 5).unwrap().power, 9);
 /// ```
 pub fn min_power_schedule(inst: &Instance, alpha: u64) -> Option<PowerSolution> {
+    crate::power::assert_alpha(alpha);
     let n = inst.job_count();
     if n == 0 {
         return Some(PowerSolution {
@@ -122,7 +126,11 @@ pub fn min_power_schedule(inst: &Instance, alpha: u64) -> Option<PowerSolution> 
 
 /// Just the optimal power: the same DP as [`min_power_schedule`], without
 /// walking the memo for a witness.
+///
+/// # Panics
+/// Panics if `alpha` exceeds [`crate::power::MAX_ALPHA`].
 pub fn min_power_value(inst: &Instance, alpha: u64) -> Option<u64> {
+    crate::power::assert_alpha(alpha);
     if inst.job_count() == 0 {
         return Some(0);
     }

@@ -68,10 +68,8 @@ use gaps_core::instance::{Instance, MultiInstance};
 use gaps_workloads::serialize;
 use std::time::Instant;
 
-/// Largest accepted transition cost α. The power solvers add α (and
-/// `1 + α`) per wake-up in `u64`; at most `u32::MAX` keeps `n · (α + 1)`
-/// within `u64` for any `n < 2³¹` jobs, so no power cost can wrap.
-pub const MAX_ALPHA: u64 = u32::MAX as u64;
+/// Largest accepted transition cost α: the core power solvers' bound.
+pub use gaps_core::power::MAX_ALPHA;
 
 /// Accept `alpha` if it is at most [`MAX_ALPHA`]; otherwise an error that
 /// names the bound.

@@ -39,6 +39,7 @@
 
 use crossbeam::channel::{self, RecvTimeoutError};
 use parking_lot::Mutex;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 use std::thread;
@@ -145,14 +146,15 @@ where
 /// Spawn one named long-lived utility thread. Kept here so the
 /// analyzer's pool-only-spawn rule stays a single-file invariant; every
 /// caller gets a `gaps-`-prefixed thread name for debuggability.
-pub fn background<F>(name: &str, f: F) -> thread::JoinHandle<()>
+///
+/// # Errors
+/// The OS refused the thread (out of threads or memory); `f` is dropped
+/// unrun, so a caller can refuse that one unit of work and carry on.
+pub fn background<F>(name: &str, f: F) -> io::Result<thread::JoinHandle<()>>
 where
     F: FnOnce() + Send + 'static,
 {
-    thread::Builder::new()
-        .name(format!("gaps-{name}"))
-        .spawn(f)
-        .expect("spawn background thread")
+    thread::Builder::new().name(format!("gaps-{name}")).spawn(f)
 }
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -744,8 +746,10 @@ mod tests {
         let ran = Arc::new(AtomicUsize::new(0));
         let ran2 = Arc::clone(&ran);
         let handle = background("test-util", move || {
+            assert_eq!(thread::current().name(), Some("gaps-test-util"));
             ran2.fetch_add(1, SeqCst);
-        });
+        })
+        .expect("spawn background thread");
         handle.join().expect("background thread joins");
         assert_eq!(ran.load(SeqCst), 1);
     }

@@ -51,10 +51,12 @@ use gaps_engine::pool::{self, TaskPool};
 use gaps_engine::{Engine, EngineConfig, MetricsSnapshot, Objective};
 use parking_lot::Mutex;
 use std::ffi::{c_int, c_short, c_ulong};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 // Wall-clock reads are legal here: `crates/serve` is on the analyzer's
 // determinism-rule allowlist (the daemon's tickers and uptime are
 // clock consumers by design; solve results never depend on them).
@@ -74,7 +76,8 @@ pub struct ServeConfig {
     pub max_threads: usize,
     /// Bounded admission-queue capacity; a full queue answers `BUSY`.
     pub queue_capacity: usize,
-    /// Maximum simultaneously served connections.
+    /// Maximum simultaneously served connections, each read by its own
+    /// thread; one more is answered `ERR - connection limit reached`.
     pub max_conns: usize,
     /// Objective every request is solved under.
     pub objective: Objective,
@@ -119,6 +122,9 @@ pub(crate) struct Shared {
     shed_jobs: usize,
     shed_depth: u64,
     draining: AtomicBool,
+    /// Live connections: registered on accept, removed when their reader
+    /// ends. Its length is the count `max_conns` caps, and drain shuts
+    /// each socket down under its blocked reader.
     conns: Mutex<Vec<(u64, TcpStream)>>,
 }
 
@@ -137,8 +143,11 @@ impl Shared {
         jobs > self.shed_jobs || self.pool.queued() >= self.shed_depth
     }
 
-    pub(crate) fn unregister_conn(&self, conn_id: u64) {
-        self.conns.lock().retain(|(id, _)| *id != conn_id);
+    /// Remove a connection from the registry and hand back its handle.
+    pub(crate) fn unregister_conn(&self, conn_id: u64) -> Option<TcpStream> {
+        let mut conns = self.conns.lock();
+        let at = conns.iter().position(|(id, _)| *id == conn_id)?;
+        Some(conns.swap_remove(at).1)
     }
 }
 
@@ -224,44 +233,67 @@ impl Server {
                 }
             })
         });
+        let ticker = ticker
+            .transpose()
+            .map_err(|e| format!("cannot start the report ticker: {e}"))?;
 
-        // Connection readers live in their own pool: `max_conns` workers,
-        // minimal queue, so connection over-admission is refused at
-        // accept time rather than parked invisibly.
-        let conn_pool = TaskPool::new(self.max_conns, 1);
+        // One reader thread per live connection, started on accept and
+        // ended with its connection: an idle daemon runs no readers.
+        let mut readers: Vec<JoinHandle<()>> = Vec::new();
         let mut next_conn_id = 0u64;
         while !self.shared.draining() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    if conn_pool.active() + conn_pool.queued() >= self.max_conns as u64 {
-                        refuse_connection(stream);
+                    // A finished reader has left the registry (and the
+                    // panic hook has reported it if it panicked).
+                    readers.retain(|reader| !reader.is_finished());
+                    if self.shared.conns.lock().len() >= self.max_conns {
+                        refuse_connection(&stream, "connection limit reached");
                         continue;
                     }
-                    // The accepted socket may inherit the listener's
-                    // non-blocking mode; sessions want blocking reads.
-                    if stream.set_nonblocking(false).is_err() {
-                        continue;
-                    }
+                    // Blocking reads (the socket may inherit the
+                    // listener's non-blocking mode); each reply sent as
+                    // soon as it is written, not held by Nagle's
+                    // algorithm until the client acknowledges the one
+                    // before (DESIGN.md §11.5); a read half for the
+                    // reader; and a clone in the registry, so drain can
+                    // shut the socket down under a blocked reader.
+                    let halves = stream
+                        .set_nonblocking(false)
+                        .and_then(|()| stream.set_nodelay(true))
+                        .and_then(|()| Ok((stream.try_clone()?, stream.try_clone()?)));
+                    let (read_half, registered) = match halves {
+                        Ok(halves) => halves,
+                        Err(e) => {
+                            refuse_connection(&stream, &format!("cannot serve connection: {e}"));
+                            continue;
+                        }
+                    };
                     let conn_id = next_conn_id;
                     next_conn_id += 1;
-                    // Keep a handle so drain can shut the socket down
-                    // under a blocked reader.
-                    if let Ok(clone) = stream.try_clone() {
-                        self.shared.conns.lock().push((conn_id, clone));
-                    }
+                    self.shared.conns.lock().push((conn_id, registered));
                     let shared = Arc::clone(&self.shared);
-                    let admitted = conn_pool
-                        .try_submit(move || session::serve_connection(shared, conn_id, stream));
-                    if admitted.is_err() {
-                        // Raced past the capacity check; the dropped
-                        // closure closed the socket.
-                        self.shared.unregister_conn(conn_id);
+                    let reader = pool::background(&format!("conn-{conn_id}"), move || {
+                        session::serve_connection(shared, conn_id, read_half, stream)
+                    });
+                    match reader {
+                        Ok(reader) => readers.push(reader),
+                        Err(e) => {
+                            // The unrun closure closed its stream; the
+                            // registered clone still reaches the client.
+                            if let Some(stream) = self.shared.unregister_conn(conn_id) {
+                                refuse_connection(
+                                    &stream,
+                                    &format!("cannot serve connection: {e}"),
+                                );
+                            }
+                        }
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     wait_for_connection(&self.listener);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(format!("accept failed: {e}")),
             }
         }
@@ -272,8 +304,7 @@ impl Server {
         for (_, stream) in self.shared.conns.lock().iter() {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
-        conn_pool.shutdown();
-        if let Some(handle) = ticker {
+        for handle in readers.into_iter().chain(ticker) {
             let _ = handle.join();
         }
         self.shared.engine.metrics().set_queue_depth(0);
@@ -320,10 +351,9 @@ fn wait_for_connection(listener: &TcpListener) {
     let _ = unsafe { poll(&mut entry, 1, DRAIN_CHECK_MS) };
 }
 
-/// Tell an over-capacity client why it is being dropped. Best-effort.
-fn refuse_connection(mut stream: TcpStream) {
-    use std::io::Write;
-    let _ = stream.write_all(b"ERR - connection limit reached\n");
+/// Tell a client why its connection is being dropped. Best-effort.
+fn refuse_connection(mut stream: &TcpStream, reason: &str) {
+    let _ = stream.write_all(format!("ERR - {reason}\n").as_bytes());
 }
 
 /// Bind and run in one call — the CLI entry point.
@@ -370,6 +400,43 @@ mod tests {
         assert!(server.shared.should_shed(9));
         // Empty queue (depth 0) < 1000, so depth alone does not shed.
         assert!(!server.shared.should_shed(1));
+    }
+
+    #[test]
+    fn accepted_streams_send_replies_without_nagle_delay() {
+        use std::io::{BufRead, BufReader};
+        let server = Server::bind(ServeConfig {
+            listen: "127.0.0.1:0".to_string(),
+            threads: 1,
+            max_threads: 1,
+            ..ServeConfig::default()
+        })
+        .expect("bind an ephemeral port");
+        let addr = server.local_addr().expect("addr");
+        let shared = Arc::clone(&server.shared);
+        let daemon = pool::background("test-daemon", move || {
+            server.run().expect("daemon exits cleanly");
+        })
+        .expect("spawn daemon thread");
+        let mut client = TcpStream::connect(addr).expect("connect");
+        client.write_all(b"PING\n").expect("send PING");
+        let mut reply = String::new();
+        BufReader::new(&client)
+            .read_line(&mut reply)
+            .expect("read PONG");
+        assert_eq!(reply, "PONG\n");
+        // The reply proves the connection was admitted, and the registered
+        // clone shares the accepted socket's options.
+        let nodelay: Vec<bool> = shared
+            .conns
+            .lock()
+            .iter()
+            .map(|(_, stream)| stream.nodelay().expect("read TCP_NODELAY"))
+            .collect();
+        assert_eq!(nodelay, [true]);
+        shared.request_drain();
+        daemon.join().expect("daemon thread joins");
+        assert!(shared.conns.lock().is_empty(), "drain joins every reader");
     }
 
     #[test]

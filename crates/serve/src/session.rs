@@ -1,12 +1,13 @@
 //! Per-connection protocol session: read frames, answer them, never
 //! die.
 //!
-//! One reader thread per connection (drawn from the connection pool)
-//! owns the read half; the write half sits behind a `parking_lot` mutex
-//! shared with every solve-pool worker answering this connection's
-//! requests, so responses from different requests interleave whole-line
-//! at a time. The writer lock is a leaf: nothing else is ever acquired
-//! under it, and no channel operation happens while it is held.
+//! One reader thread per connection (started by the accept loop when
+//! the connection is admitted, ended with it) owns the read half; the
+//! write half sits behind a `parking_lot` mutex shared with every
+//! solve-pool worker answering this connection's requests, so responses
+//! from different requests interleave whole-line at a time. The writer
+//! lock is a leaf: nothing else is ever acquired under it, and no
+//! channel operation happens while it is held.
 //!
 //! `SESSION` frames are the exception to the fan-out model: an online
 //! session is inherently serial (each arrival's sleep/wake decision
@@ -144,8 +145,11 @@ fn handle_req(
             let metrics = shared.engine.metrics();
             metrics.set_queue_depth(shared.pool.queued());
             let outcome = shared.engine.solve_request(&inst, shared.objective, shed);
-            send_line(&writer, &format!("RES {id} {}", outcome.body));
+            // Free the id before the reply leaves: the client may reuse
+            // it the moment it reads the `RES` line, which (with no Nagle
+            // hold) can be before this thread runs another instruction.
             drop(claim);
+            send_line(&writer, &format!("RES {id} {}", outcome.body));
         }
     };
     match shared.pool.try_submit(job) {
@@ -253,13 +257,32 @@ fn send_session_state(writer: &Mutex<TcpStream>, state: gaps_engine::SessionStat
     );
 }
 
+/// Takes a connection out of the live registry when its reader ends,
+/// by return or by unwind, so a panicking reader cannot hold one of the
+/// `max_conns` places forever.
+struct Registered<'a> {
+    shared: &'a Shared,
+    conn_id: u64,
+}
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        self.shared.unregister_conn(self.conn_id);
+    }
+}
+
 /// Serve one connection until EOF, a socket error, or server shutdown
 /// (which closes the socket under us). Every malformed frame is
 /// answered with `ERR` and the session continues.
-pub(crate) fn serve_connection(shared: Arc<Shared>, conn_id: u64, stream: TcpStream) {
-    let Ok(read_half) = stream.try_clone() else {
-        shared.unregister_conn(conn_id);
-        return;
+pub(crate) fn serve_connection(
+    shared: Arc<Shared>,
+    conn_id: u64,
+    read_half: TcpStream,
+    stream: TcpStream,
+) {
+    let _registered = Registered {
+        shared: &shared,
+        conn_id,
     };
     let mut reader = BufReader::new(read_half);
     let writer = Arc::new(Mutex::new(stream));
@@ -299,7 +322,6 @@ pub(crate) fn serve_connection(shared: Arc<Shared>, conn_id: u64, stream: TcpStr
             }
         }
     }
-    shared.unregister_conn(conn_id);
 }
 
 #[cfg(test)]

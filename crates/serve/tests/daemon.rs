@@ -1,6 +1,6 @@
 //! End-to-end daemon tests over a real TCP socket: batch parity,
-//! malformed-input resilience, backpressure, shedding, stats, and
-//! graceful drain.
+//! malformed-input resilience, backpressure, shedding, stats, the
+//! connection cap, reply latency, and graceful drain.
 //!
 //! Each test binds an ephemeral port, runs the accept loop on a
 //! background thread (via `gaps_engine::pool::background` — the
@@ -15,7 +15,7 @@ use gaps_workloads::streams;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A running daemon plus the channel its final snapshot arrives on.
 struct Daemon {
@@ -33,7 +33,8 @@ fn start(config: ServeConfig) -> Daemon {
     let (tx, done) = crossbeam::channel::unbounded();
     pool::background("test-daemon", move || {
         let _ = tx.send(server.run());
-    });
+    })
+    .expect("spawn daemon thread");
     Daemon { addr, done }
 }
 
@@ -540,4 +541,85 @@ fn requests_after_drain_are_refused() {
     );
     let snapshot = daemon.finish();
     assert_eq!(snapshot.requests, 1);
+}
+
+/// Connect and round-trip one `PING`; `None` if the daemon refused the
+/// connection (its `ERR` line, a reset, or EOF instead of `PONG`).
+fn admitted(addr: SocketAddr) -> Option<Client> {
+    let mut client = Client::connect(addr);
+    let mut line = String::new();
+    let pong = client.writer.write_all(b"PING\n").is_ok()
+        && client.reader.read_line(&mut line).is_ok()
+        && line == "PONG\n";
+    pong.then_some(client)
+}
+
+#[test]
+fn connection_limit_refuses_the_extra_connection_until_one_closes() {
+    let daemon = start(ServeConfig {
+        threads: 1,
+        max_conns: 1,
+        ..ServeConfig::default()
+    });
+    let first = admitted(daemon.addr).expect("the first connection is admitted");
+    // Read without writing, so the refused socket closes with nothing
+    // unread and the client sees the line rather than a reset.
+    let mut second = Client::connect(daemon.addr);
+    assert_eq!(second.recv(), "ERR - connection limit reached");
+    let mut rest = String::new();
+    assert_eq!(second.reader.read_line(&mut rest).expect("read EOF"), 0);
+    drop(first);
+    // The first connection's place frees once its reader reads EOF, so a
+    // newcomer may still be refused for a moment.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut third = loop {
+        if let Some(client) = admitted(daemon.addr) {
+            break client;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no connection admitted after the first closed"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    third.send("DRAIN");
+    assert_eq!(third.recv(), "DRAINING");
+    daemon.finish();
+}
+
+#[test]
+fn pipelined_replies_are_not_held_for_the_clients_ack() {
+    let daemon = start(ServeConfig {
+        threads: 1,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(daemon.addr);
+    // Past TCP's quick-ack start, the client delays its ACKs the way a
+    // steady request stream does.
+    for _ in 0..20 {
+        client.send("PING");
+        assert_eq!(client.recv(), "PONG");
+    }
+    // Under Nagle's algorithm the daemon holds the second and third PONG
+    // until the client acknowledges the first, one delayed-ACK timer
+    // (about 40 ms on Linux) later. Every burst pays it; the best of
+    // five keeps one scheduling stall on a busy machine from counting.
+    let best = (0..5)
+        .map(|_| {
+            let sent = Instant::now();
+            client.send_raw(b"PING\nPING\nPING\n");
+            for _ in 0..3 {
+                assert_eq!(client.recv(), "PONG");
+            }
+            sent.elapsed()
+        })
+        .min()
+        .expect("five bursts");
+    assert!(
+        best < Duration::from_millis(20),
+        "three pipelined PINGs took {best:?} at best"
+    );
+    client.send("DRAIN");
+    assert_eq!(client.recv(), "DRAINING");
+    daemon.finish();
 }

@@ -43,12 +43,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
     /// Theorem 1 DP ≡ exhaustive search on both the span and the
-    /// finite-gap objective, across processor counts.
+    /// finite-gap objective, across processor counts. The value-only
+    /// entry points the router calls must agree with the witness-building
+    /// ones.
     #[test]
     fn multiproc_dp_bit_matches_brute_force(inst in arb_instance(7, 9, 4)) {
         let p = inst.processors();
         let dp = multiproc_dp::min_span_schedule(&inst);
         let bf = brute_force::min_spans_multiproc(&inst);
+        prop_assert_eq!(
+            multiproc_dp::min_span_value(&inst),
+            dp.as_ref().map(|dp| dp.spans),
+            "value-only spans diverged"
+        );
         prop_assert_eq!(dp.is_some(), bf.is_some(), "span feasibility diverged");
         if let (Some(dp), Some((bf, _))) = (dp, bf) {
             prop_assert_eq!(dp.spans, bf, "span optimum diverged");
@@ -57,6 +64,11 @@ proptest! {
         }
         let dp = multiproc_dp::min_gap_schedule(&inst);
         let bf = brute_force::min_gaps_multiproc(&inst);
+        prop_assert_eq!(
+            multiproc_dp::min_gap_value(&inst),
+            dp.as_ref().map(|dp| dp.gaps),
+            "value-only gaps diverged"
+        );
         prop_assert_eq!(dp.is_some(), bf.is_some(), "gap feasibility diverged");
         if let (Some(dp), Some((bf, _))) = (dp, bf) {
             prop_assert_eq!(dp.gaps, bf, "gap optimum diverged");
